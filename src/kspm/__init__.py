@@ -40,9 +40,11 @@ from .dds import (
     avg_step,
     avg_trajectory,
     first_constant_index,
+    pile,
     reconstruct_b,
     shot_vector,
     spectrum,
+    trajectory_of,
     x_step,
     x_to_avg,
 )
@@ -99,12 +101,14 @@ __all__ = [
     "match_theorem2",
     "matches_theorem1_at",
     "max_plateau",
+    "pile",
     "reconstruct_b",
     "run_avalanche",
     "shot_vector",
     "spectrum",
     "stabilize",
     "support_report",
+    "trajectory_of",
     "wave_report",
     "x_step",
     "x_to_avg",

@@ -14,9 +14,11 @@ which conserves the grain count sum((i+1) * b[i]).
 The strategy loops below track the number of currently enabled columns
 exactly (each firing touches three cells, so the count is maintained in
 O(1)), which lets them terminate without a final full-width scan.  The
-leftmost loop additionally exploits locality: after firing column i the
-only column below i that can have become enabled is i - 1, so the scan
-cursor backs up by at most one step per firing.
+leftmost loop takes the initial count from its caller, who knows it
+without a scan (a single pile, a grain dropped on a stable pile), and
+additionally exploits locality: after firing column i the only column
+below i that can have become enabled is i - 1, so the scan cursor backs
+up by at most one step per firing.
 
 `relax` is a batched variant used for large single-pile runs: one pass
 fires every enabled column as often as its current value allows, which is
@@ -34,7 +36,7 @@ import random
 
 import numpy as np
 
-from .errors import WorkLimitExceeded
+from .errors import Inconsistent, WorkLimitExceeded
 
 DEFAULT_WORK_LIMIT = 10**10
 
@@ -67,16 +69,25 @@ def support_cap(extra: int, grains: int, p: int) -> int:
     return extra + (p + 1) * (math.isqrt(grains) + 1) + 2 * p + 4
 
 
-def leftmost(b: list[int], p: int, limit: int, shots: list[int] | None = None) -> int:
-    """Fire the smallest enabled column until stable.  Returns total firings."""
+def leftmost(
+    b: list[int],
+    p: int,
+    limit: int,
+    enabled: int,
+    fired: list[int] | None = None,
+    shots: list[int] | None = None,
+) -> int:
+    """Fire the smallest enabled column until stable.  Returns total firings.
+
+    `enabled` must be the number of columns with b[i] > p.  Fired columns
+    are appended to `fired` in firing order and counted per column in
+    `shots`, which grows to the width reached.
+    """
     pp1 = p + 1
     m = len(b)
-    enabled = 0
-    for v in b:
-        if v > p:
-            enabled += 1
     total = 0
     pos = 0
+    append = fired.append if fired is not None else None
     if shots is not None and len(shots) < m:
         shots.extend([0] * (m - len(shots)))
     while enabled:
@@ -88,6 +99,8 @@ def leftmost(b: list[int], p: int, limit: int, shots: list[int] | None = None) -
         total += 1
         if total > limit:
             raise WorkLimitExceeded(f"firing budget {limit} exceeded")
+        if append is not None:
+            append(i)
         nv = v - pp1
         b[i] = nv
         if nv <= p:
@@ -119,7 +132,7 @@ def leftmost(b: list[int], p: int, limit: int, shots: list[int] | None = None) -
     return total
 
 
-def rightmost(b: list[int], p: int, limit: int, shots: list[int] | None = None) -> int:
+def rightmost(b: list[int], p: int, limit: int) -> int:
     """Fire the largest enabled column until stable.  Returns total firings."""
     pp1 = p + 1
     m = len(b)
@@ -129,8 +142,6 @@ def rightmost(b: list[int], p: int, limit: int, shots: list[int] | None = None) 
             enabled += 1
     total = 0
     pos = m - 1
-    if shots is not None and len(shots) < m:
-        shots.extend([0] * (m - len(shots)))
     while enabled:
         v = b[pos]
         while v <= p:
@@ -157,24 +168,18 @@ def rightmost(b: list[int], p: int, limit: int, shots: list[int] | None = None) 
         ip = i + p
         if ip >= m:
             b.extend([0] * (ip + 1 - m))
-            if shots is not None:
-                shots.extend([0] * (ip + 1 - m))
             m = ip + 1
         ov = b[ip]
         b[ip] = ov + 1
         if ov == p:
             # columns right of i were stable, so ov <= p
             enabled += 1
-        if shots is not None:
-            shots[i] += 1
         pos = ip  # every enabled column is now <= i + p
     trim(b)
     return total
 
 
-def randomized(
-    b: list[int], p: int, limit: int, seed: int, shots: list[int] | None = None
-) -> int:
+def randomized(b: list[int], p: int, limit: int, seed: int) -> int:
     """Fire uniformly among enabled columns (seeded).  Returns total firings."""
     rng = random.Random(seed)
     rnd = rng.random
@@ -185,8 +190,6 @@ def randomized(
     for idx, col in enumerate(enabled):
         where[col] = idx
     total = 0
-    if shots is not None and len(shots) < m:
-        shots.extend([0] * (m - len(shots)))
     while enabled:
         n = len(enabled)
         j = int(rnd() * n)
@@ -217,76 +220,22 @@ def randomized(
             grow = ip + 1 - m
             b.extend([0] * grow)
             where.extend([-1] * grow)
-            if shots is not None:
-                shots.extend([0] * grow)
             m = ip + 1
         ov = b[ip]
         b[ip] = ov + 1
         if ov == p:
             where[ip] = len(enabled)
             enabled.append(ip)
-        if shots is not None:
-            shots[i] += 1
     trim(b)
     return total
-
-
-def leftmost_avalanche(
-    b: list[int], p: int, limit: int = DEFAULT_WORK_LIMIT
-) -> list[int]:
-    """Leftmost firing sequence for a stable pile that just received a grain.
-
-    `b` must be stable except possibly at column 0 and is mutated to the
-    resulting fixed point.  Returns the fired columns in firing order.
-    """
-    if not b or b[0] <= p:
-        trim(b)
-        return []
-    fired: list[int] = []
-    append = fired.append
-    pp1 = p + 1
-    m = len(b)
-    enabled = 1
-    pos = 0
-    while enabled:
-        v = b[pos]
-        while v <= p:
-            pos += 1
-            v = b[pos]
-        i = pos
-        append(i)
-        if len(fired) > limit:
-            raise WorkLimitExceeded(f"firing budget {limit} exceeded")
-        nv = v - pp1
-        b[i] = nv
-        if nv <= p:
-            enabled -= 1
-        if i:
-            j = i - 1
-            ov = b[j]
-            if ov:
-                b[j] = ov + p
-                enabled += 1
-                pos = j
-            else:
-                b[j] = p
-        ip = i + p
-        if ip >= m:
-            b.extend([0] * (ip + 1 - m))
-            m = ip + 1
-        ov = b[ip]
-        b[ip] = ov + 1
-        if ov == p:
-            enabled += 1
-    trim(b)
-    return fired
 
 
 def relax(b0: list[int], grains: int, p: int, limit: int) -> tuple[list[int], list[int], int]:
     """Batched stabilization: returns (fixed point, per-column firings, total).
 
     Equivalent to any sequential strategy by confluence; used as the fast
-    path for single-pile runs with many grains.
+    path for single-pile runs with many grains.  A spill past `support_cap`
+    would mean that bound is wrong, and raises Inconsistent.
     """
     pp1 = p + 1
     cap = support_cap(len(b0), grains, p)
@@ -307,7 +256,7 @@ def relax(b0: list[int], grains: int, p: int, limit: int) -> tuple[list[int], li
         arr[:-1] += p * t[1:]
         arr[p:] += t[:-p]
     if arr[-(p + 2) :].any():
-        raise AssertionError("relaxation spilled past the proven support bound")
+        raise Inconsistent("relaxation spilled past the proven support bound")
     b = arr.tolist()
     trim(b)
     s = shots.tolist()
@@ -320,7 +269,7 @@ def pile_with_shots(grains: int, p: int, limit: int) -> tuple[list[int], list[in
     if grains < _RELAX_CUTOFF or support_cap(1, grains, p) > _RELAX_MAX_CELLS:
         b = [grains] if grains else []
         shots: list[int] = []
-        total = leftmost(b, p, limit, shots)
+        total = leftmost(b, p, limit, int(grains > p), shots=shots)
         trim(shots)
         return b, shots, total
     return relax([grains], grains, p, limit)

@@ -11,6 +11,8 @@ The density column L'(p,k) is where the avalanche stops skipping: from
 L'(p,k) up to its largest column everything fires.  L(p,N) aggregates the
 maximum of L'(p,k) over k <= N.
 
+`steps` is the one grain-by-grain loop: it yields each avalanche with the
+live pile, and `incremental_scan` and the verify sweeps drive it.
 `incremental_scan` streams one record per grain to an observer and keeps
 only the current pile in memory, so scans up to millions of grains need
 memory proportional to the support width, not to N.  Observer callbacks
@@ -24,11 +26,11 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass
-from typing import Callable, IO, Optional
+from typing import Callable, IO, Iterator, Optional
 
 from . import _engine
-from .core import Configuration, DEFAULT_WORK_LIMIT, GRAIN_LIMIT, Params
-from .errors import InvalidParameter, NotStable
+from .core import Configuration, DEFAULT_WORK_LIMIT, Params, check_grains
+from .errors import NotStable
 
 
 @dataclass(frozen=True)
@@ -79,8 +81,7 @@ Observer = Callable[[int, Avalanche, Configuration], None]
 
 def add_grain(c: Configuration) -> Configuration:
     """One more grain on column 0 (b_0 + 1)."""
-    if c.grain_count() >= GRAIN_LIMIT:
-        raise InvalidParameter("grain count would exceed limit 2**40")
+    check_grains(c.grain_count() + 1)
     b = (c.diffs[0] + 1,) + c.diffs[1:] if c.diffs else (1,)
     return Configuration._trusted(b, c.params)
 
@@ -94,12 +95,10 @@ def run_avalanche(
     """
     if not c.is_stable():
         raise NotStable("avalanches start from a stable configuration")
-    b = list(c.diffs)
-    if b:
-        b[0] += 1
-    else:
-        b = [1]
-    fired = _engine.leftmost_avalanche(b, c.params.p, work_limit)
+    p = c.params.p
+    b = list(add_grain(c).diffs)
+    fired: list[int] = []
+    _engine.leftmost(b, p, work_limit, int(b[0] > p), fired)
     return Avalanche(k, tuple(fired)), Configuration._trusted(tuple(b), c.params)
 
 
@@ -129,6 +128,26 @@ def _lprime(fired) -> int:
     return start
 
 
+def steps(
+    grains: int, p: int, work_limit: int = DEFAULT_WORK_LIMIT
+) -> Iterator[tuple[int, list[int], list[int]]]:
+    """Yield (k, fired, b) for k = 1 .. grains: the k-th avalanche and pi(k).
+
+    `fired` lists the columns fired in order while absorbing grain k.  `b`
+    is the live pile in height-difference form: the next step mutates it,
+    so a caller that keeps it must copy it.  The firing budget covers the
+    whole scan.
+    """
+    check_grains(grains, 1)
+    b = [0]
+    budget = work_limit
+    for k in range(1, grains + 1):
+        b[0] += 1
+        fired: list[int] = []
+        budget -= _engine.leftmost(b, p, budget, int(b[0] > p), fired)
+        yield k, fired, b
+
+
 def incremental_scan(
     grains: int,
     params: Params,
@@ -141,23 +160,10 @@ def incremental_scan(
     carries L(p, N) and aggregate statistics; the per-k data exists only
     transiently.
     """
-    if grains < 1:
-        raise InvalidParameter(f"grain count must be >= 1, got {grains}")
-    if grains > GRAIN_LIMIT:
-        raise InvalidParameter(f"grain count {grains} exceeds limit 2**40")
-    p = params.p
-    b: list[int] = []
     l_global = 0
     total = 0
     max_avalanche = 0
-    budget = work_limit
-    for k in range(1, grains + 1):
-        if b:
-            b[0] += 1
-        else:
-            b = [1]
-        fired = _engine.leftmost_avalanche(b, p, budget)
-        budget -= len(fired)
+    for k, fired, b in steps(grains, params.p, work_limit):
         total += len(fired)
         if len(fired) > max_avalanche:
             max_avalanche = len(fired)

@@ -115,7 +115,7 @@ def _parser() -> argparse.ArgumentParser:
 def cmd_fixpoint(args: argparse.Namespace) -> int:
     params = Params(args.p)
     limit = _work_limit()
-    pi, sv = dds._pile(args.n, params, limit)
+    pi, sv = dds.pile(args.n, params, limit)
     heights = pi.heights().heights
     with _open_out(args.out) as out:
         if args.format == "text":
@@ -173,11 +173,19 @@ def cmd_avalanche(args: argparse.Namespace) -> int:
     return 0
 
 
+def _at_least(value: int | None, default: int, lo: int, flag: str) -> int:
+    """`value` (or `default` when absent), rejected below `lo`: a sweep over
+    an empty range would check nothing."""
+    value = default if value is None else value
+    if value < lo:
+        raise InvalidParameter(f"{flag} must be >= {lo}, got {value}")
+    return value
+
+
 def _verify_ps(args: argparse.Namespace, lo: int, default_hi: int) -> list[int]:
     if args.p is not None:
         return [args.p]
-    hi = args.p_max if args.p_max is not None else default_hi
-    return list(range(lo, hi + 1))
+    return list(range(lo, _at_least(args.p_max, default_hi, lo, "--p-max") + 1))
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -185,35 +193,34 @@ def cmd_verify(args: argparse.Namespace) -> int:
     results: list[verify.CheckResult] = []
     suite = args.suite
     if suite == "spectrum":
-        p_max = args.p_max if args.p_max is not None else 64
-        results.append(verify.check_spectrum(p_max))
+        results.append(verify.check_spectrum(_at_least(args.p_max, 64, 2, "--p-max")))
     elif suite == "waves":
         if args.n is None:
             raise InvalidParameter("verify waves needs --n")
         for p in _verify_ps(args, 2, 4):
             results.append(verify.check_waves(p, args.n, limit))
     elif suite == "confluence":
-        n_max = args.n_max if args.n_max is not None else 200
+        n_max = _at_least(args.n_max, 200, 1, "--n-max")
         for p in _verify_ps(args, 1, 5):
             results.append(verify.check_confluence(p, n_max, 10, args.seed, limit))
     elif suite == "plateau":
-        n_max = args.n_max if args.n_max is not None else 300
+        n_max = _at_least(args.n_max, 300, 1, "--n-max")
         for p in _verify_ps(args, 2, 6):
             results.append(verify.check_plateau(p, n_max, limit))
     elif suite == "support":
-        n_max = args.n_max if args.n_max is not None else 2000
+        n_max = _at_least(args.n_max, 2000, 1, "--n-max")
         for p in _verify_ps(args, 2, 6):
             results.append(verify.check_support(p, n_max, limit))
     elif suite == "linkage":
-        n_max = args.n_max if args.n_max is not None else 200
+        n_max = _at_least(args.n_max, 200, 1, "--n-max")
         for p in _verify_ps(args, 2, 4):
             results.append(verify.check_linkage(p, range(1, n_max + 1), limit))
     elif suite == "density":
-        n_max = args.n_max if args.n_max is not None else 1000
+        n_max = _at_least(args.n_max, 1000, 1, "--n-max")
         for p in _verify_ps(args, 2, 5):
             results.append(verify.check_density(p, n_max, limit))
     else:  # recurrence
-        n_max = args.n_max if args.n_max is not None else 200
+        n_max = _at_least(args.n_max, 200, 1, "--n-max")
         for p in _verify_ps(args, 2, 4):
             results.append(verify.check_recurrence(p, n_max, limit))
     ok = all(r.passed for r in results)
@@ -237,13 +244,13 @@ def cmd_figure_data(args: argparse.Namespace) -> int:
             for n, h in enumerate(heights):
                 writer.writerow((n, h))
         elif args.which == "shot":
-            pi, sv = dds._pile(args.n, params, limit)
+            pi, sv = dds.pile(args.n, params, limit)
             writer.writerow(("n", "shots"))
             for n in range(pi.width()):
                 writer.writerow((n, sv.a(n)))
         else:
-            traj = dds.avg_trajectory(args.n, params, limit)
-            pi = fixed_point(args.n, params, limit)
+            pi, sv = dds.pile(args.n, params, limit)
+            traj = dds.trajectory_of(pi, sv, params)
             sign = -1 if args.negate else 1
             writer.writerow(
                 ("n", *(f"y{j}" for j in range(args.p)), "mean_numerator", "b_n")

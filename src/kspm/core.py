@@ -42,6 +42,14 @@ LEFTMOST = "leftmost"
 RIGHTMOST = "rightmost"
 
 
+def check_grains(grains: int, minimum: int = 0) -> None:
+    """Reject a grain count outside minimum..GRAIN_LIMIT (InvalidParameter)."""
+    if grains < minimum:
+        raise InvalidParameter(f"grain count must be >= {minimum}, got {grains}")
+    if grains > GRAIN_LIMIT:
+        raise InvalidParameter(f"grain count {grains} exceeds limit 2**40")
+
+
 @dataclass(frozen=True)
 class Params:
     """Model parameter: p grains fall at each firing."""
@@ -122,10 +130,7 @@ class Configuration:
     @classmethod
     def single_pile(cls, grains: int, params: Params) -> "Configuration":
         """The initial configuration: all grains stacked on column 0."""
-        if grains < 0:
-            raise InvalidParameter(f"grain count must be >= 0, got {grains}")
-        if grains > GRAIN_LIMIT:
-            raise InvalidParameter(f"grain count {grains} exceeds limit 2**40")
+        check_grains(grains)
         return cls((grains,) if grains else (), params)
 
     # -- basic queries -----------------------------------------------
@@ -205,12 +210,11 @@ def stabilize(
     Both results are strategy-independent (strong convergence); the
     strategy only selects the firing order actually executed.
     """
-    if c.grain_count() > GRAIN_LIMIT:
-        raise InvalidParameter("grain count exceeds limit 2**40")
+    check_grains(c.grain_count())
     b = list(c.diffs)
     p = c.params.p
     if strategy == LEFTMOST:
-        total = _engine.leftmost(b, p, work_limit)
+        total = _engine.leftmost(b, p, work_limit, len(c.enabled_columns()))
     elif strategy == RIGHTMOST:
         total = _engine.rightmost(b, p, work_limit)
     elif isinstance(strategy, RandomStrategy):
@@ -224,9 +228,6 @@ def fixed_point(
     grains: int, params: Params, work_limit: int = DEFAULT_WORK_LIMIT
 ) -> Configuration:
     """Fixed point of `grains` stacked on column 0."""
-    if grains < 0:
-        raise InvalidParameter(f"grain count must be >= 0, got {grains}")
-    if grains > GRAIN_LIMIT:
-        raise InvalidParameter(f"grain count {grains} exceeds limit 2**40")
+    check_grains(grains)
     b, _, _ = _engine.pile_with_shots(grains, params.p, work_limit)
     return Configuration._trusted(tuple(b), params)

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _engine
-from .core import Configuration, DEFAULT_WORK_LIMIT, GRAIN_LIMIT, Params
+from .core import Configuration, DEFAULT_WORK_LIMIT, Params, check_grains
 from .errors import (
     Inconsistent,
     IndexOutOfRange,
@@ -118,14 +118,11 @@ class SpectrumReport:
         return (self.p - 1) / self.p
 
 
-def _pile(
+def pile(
     grains: int, params: Params, work_limit: int = DEFAULT_WORK_LIMIT
 ) -> tuple[Configuration, ShotVector]:
-    """Fixed point and shot vector from a single stabilization run."""
-    if grains < 0:
-        raise InvalidParameter(f"grain count must be >= 0, got {grains}")
-    if grains > GRAIN_LIMIT:
-        raise InvalidParameter(f"grain count {grains} exceeds limit 2**40")
+    """Fixed point and shot vector of `grains` on column 0, from one run."""
+    check_grains(grains)
     b, shots, _ = _engine.pile_with_shots(grains, params.p, work_limit)
     return (
         Configuration._trusted(tuple(b), params),
@@ -137,7 +134,7 @@ def shot_vector(
     grains: int, params: Params, work_limit: int = DEFAULT_WORK_LIMIT
 ) -> ShotVector:
     """Firing counts accumulated while stabilizing the single pile."""
-    return _pile(grains, params, work_limit)[1]
+    return pile(grains, params, work_limit)[1]
 
 
 def reconstruct_b(a_nm_p: int, a_n: int, params: Params) -> set[int]:
@@ -194,13 +191,14 @@ def avg_trajectory(
     (Inconsistent) means a bug, not bad input.  The trajectory runs to
     width + p, by which point it is the constant zero vector.
     """
-    if grains < 1:
-        raise InvalidParameter(f"grain count must be >= 1, got {grains}")
-    pi, sv = _pile(grains, params, work_limit)
-    return _trajectory_of(pi, sv, params)
+    pi, sv = pile(grains, params, work_limit)
+    return trajectory_of(pi, sv, params)
 
 
-def _trajectory_of(pi: Configuration, sv: ShotVector, params: Params) -> list[AvgVector]:
+def trajectory_of(pi: Configuration, sv: ShotVector, params: Params) -> list[AvgVector]:
+    """The averaging trajectory of `avg_trajectory` from an existing
+    fixed point pi(N), N >= 1, and its shot vector."""
+    check_grains(sv.grains, 1)
     diffs = pi.diffs
     stop = len(diffs) + params.p
     y = sv.avg_vector(0)

@@ -46,9 +46,10 @@ def check_confluence(
 ) -> CheckResult:
     """Leftmost, rightmost, and seeded random runs must all agree."""
     name = f"confluence p={p}"
+    Params(p)  # rejects p < 1, on which the engines never stop
     for grains in range(1, n_max + 1):
         ref = [grains]
-        ref_total = _engine.leftmost(ref, p, work_limit)
+        ref_total = _engine.leftmost(ref, p, work_limit, int(grains > p))
         alt = [grains]
         alt_total = _engine.rightmost(alt, p, work_limit)
         if alt != ref or alt_total != ref_total:
@@ -78,6 +79,7 @@ def check_confluence(
 def check_plateau(p: int, n_max: int, work_limit: int = DEFAULT_WORK_LIMIT) -> CheckResult:
     """No plateau longer than p+1 anywhere on any leftmost trajectory."""
     name = f"plateau p={p}"
+    Params(p)  # rejects p < 1, on which the engine never stops
     bound = p + 1
     worst = 1
     for grains in range(1, n_max + 1):
@@ -100,16 +102,8 @@ def check_plateau(p: int, n_max: int, work_limit: int = DEFAULT_WORK_LIMIT) -> C
 def check_support(p: int, n_max: int, work_limit: int = DEFAULT_WORK_LIMIT) -> CheckResult:
     """Strict sqrt bounds on the fixed-point width for every N <= n_max."""
     name = f"support p={p}"
-    params = Params(p)
-    b: list[int] = []
-    budget = work_limit
-    for k in range(1, n_max + 1):
-        if b:
-            b[0] += 1
-        else:
-            b = [1]
-        fired = _engine.leftmost_avalanche(b, p, budget)
-        budget -= len(fired)
+    Params(p)
+    for k, _, b in avalanche.steps(n_max, p, work_limit):
         report = analysis.support_bounds(k, p, len(b))
         if not report.holds:
             return CheckResult(
@@ -200,12 +194,11 @@ def check_linkage(p: int, grains_list, work_limit: int = DEFAULT_WORK_LIMIT) -> 
     params = Params(p)
     grains_list = list(grains_list)
     for grains in grains_list:
-        traj = dds.avg_trajectory(grains, params, work_limit)
-        idx = dds.first_constant_index(traj)
+        c, sv = dds.pile(grains, params, work_limit)
+        idx = dds.first_constant_index(dds.trajectory_of(c, sv, params))
         if idx is None:
             return CheckResult(name, False, f"no constant averaging state for N={grains}",
                                {"p": p, "N": grains})
-        c = fixed_point(grains, params, work_limit)
         if not analysis.matches_theorem1_at(c, idx):
             return CheckResult(
                 name, False,
@@ -225,18 +218,10 @@ def check_density(p: int, n_max: int, work_limit: int = DEFAULT_WORK_LIMIT) -> C
     """
     name = f"density p={p}"
     params = Params(p)
-    b: list[int] = []
     l_global = 0
-    budget = work_limit
     checkpoints: dict[int, int] = {}
     prev_emergence = 0  # empty pile matches everywhere
-    for k in range(1, n_max + 1):
-        if b:
-            b[0] += 1
-        else:
-            b = [1]
-        fired = _engine.leftmost_avalanche(b, p, budget)
-        budget -= len(fired)
+    for k, fired, b in avalanche.steps(n_max, p, work_limit):
         lp = avalanche._lprime(fired)
         bound = prev_emergence + p + 1
         if lp > bound:
@@ -268,33 +253,22 @@ def emergence_sweep(p: int, grain_values, work_limit: int = DEFAULT_WORK_LIMIT):
     Shot counts are accumulated from the avalanche records, so the
     averaging trajectory at each checkpoint comes for free.
     """
-    wanted = sorted(set(grain_values))
+    wanted = set(grain_values)
     params = Params(p)
-    b: list[int] = []
     shots: list[int] = []
     l_global = 0
-    budget = work_limit
     rows = []
-    targets = iter(wanted)
-    nxt = next(targets, None)
-    for k in range(1, (wanted[-1] if wanted else 0) + 1):
-        if b:
-            b[0] += 1
-        else:
-            b = [1]
-        fired = _engine.leftmost_avalanche(b, p, budget)
-        budget -= len(fired)
+    for k, fired, b in avalanche.steps(max(wanted, default=0), p, work_limit):
+        shots.extend([0] * (len(b) - len(shots)))  # a fired column lies inside the new support
         for col in fired:
-            if col >= len(shots):
-                shots.extend([0] * (col + 1 - len(shots)))
             shots[col] += 1
         lp = avalanche._lprime(fired)
         if lp > l_global:
             l_global = lp
-        if k == nxt:
+        if k in wanted:
             pi = Configuration._trusted(tuple(b), params)
             sv = dds.ShotVector(tuple(shots), k, params)
-            traj = dds._trajectory_of(pi, sv, params)
+            traj = dds.trajectory_of(pi, sv, params)
             rows.append(
                 (
                     k,
@@ -305,7 +279,6 @@ def emergence_sweep(p: int, grain_values, work_limit: int = DEFAULT_WORK_LIMIT):
                     l_global,
                 )
             )
-            nxt = next(targets, None)
     return rows
 
 

@@ -85,7 +85,7 @@ def test_criterion_1():
 def test_criterion_2():
     params = Params(4)
     t0 = time.perf_counter()
-    pi, sv = dds._pile(2000, params)
+    pi, sv = dds.pile(2000, params)
     elapsed = time.perf_counter() - t0
     assert pi.diffs == PI_2000_P4
     assert len(pi.diffs) == 41
@@ -163,8 +163,8 @@ def test_criterion_9():
         emergence_seq = []
         for e in range(10, 21):
             n = 2**e
-            pi, sv = dds._pile(n, params)
-            traj = dds._trajectory_of(pi, sv, params)
+            pi, sv = dds.pile(n, params)
+            traj = dds.trajectory_of(pi, sv, params)
             fci = dds.first_constant_index(traj)
             emi = analysis.emergence_index(pi)
             assert fci is not None
@@ -196,7 +196,8 @@ def test_criterion_10():
 def test_criterion_11():
     for p in (1, 2, 3, 4):
         for n in range(1, 201):
-            order = _engine.leftmost_avalanche([n], p)
+            order: list[int] = []
+            _engine.leftmost([n], p, _engine.DEFAULT_WORK_LIMIT, int(n > p), order)
             pile = reference.HeightPile([n], p)
             opt = [n]
             for i in order:

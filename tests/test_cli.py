@@ -129,6 +129,31 @@ class TestVerify:
         assert code == 2
         assert "needs --n" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("confluence", "--p", "0"),
+            ("confluence", "--p", "-1"),
+            ("plateau", "--p", "0"),
+            ("plateau", "--p", "-1"),
+            ("confluence", "--n-max", "0"),
+            ("support", "--n-max", "-5"),
+            ("linkage", "--n-max", "0"),
+            ("density", "--p", "2", "--n-max", "0"),
+            ("recurrence", "--n-max", "0"),
+            ("plateau", "--n-max", "0"),
+            ("support", "--p-max", "1"),
+            ("confluence", "--p-max", "0"),
+            ("spectrum", "--p-max", "1"),
+        ],
+    )
+    def test_invalid_or_empty_range_exits_2(self, capsys, monkeypatch, argv):
+        # a small budget makes a run that ignores a bad p fail fast, not hang
+        monkeypatch.setenv("KSPM_WORK_LIMIT", "1000")
+        code, out, _ = run(capsys, "verify", *argv)
+        assert code == 2
+        assert out == ""
+
     def test_failure_prints_counterexample_and_exits_1(self, capsys, monkeypatch):
         import kspm.verify as verify_mod
 
@@ -193,6 +218,19 @@ class TestOutputFile:
         assert "budget" in err
         assert not target.exists()
         assert not list(tmp_path.glob(".kspm-*"))
+
+    def test_support_spill_exits_1(self, capsys, monkeypatch):
+        from kspm import Params, _engine, fixed_point
+        from kspm.errors import Inconsistent
+
+        # above the plain-loop cutoff, with room for far too few columns
+        monkeypatch.setattr(_engine, "support_cap", lambda extra, grains, p: 16)
+        with pytest.raises(Inconsistent):
+            fixed_point(5000, Params(2))
+        code, out, err = run(capsys, "fixpoint", "--p", "2", "--n", "5000")
+        assert code == 1
+        assert out == ""
+        assert "support bound" in err
 
     def test_work_limit_validation(self, capsys, monkeypatch):
         monkeypatch.setenv("KSPM_WORK_LIMIT", "zero")

@@ -1,7 +1,7 @@
 """Firing rule, stabilization, conversions, and their invariants."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from kspm import (
     Configuration,
@@ -162,6 +162,30 @@ class TestStabilize:
         assert list(out.diffs) == pile.diffs()
         assert total == naive_total
 
+    @given(small_config)
+    @settings(max_examples=60)
+    def test_leftmost_records_match_height_rule_oracle(self, pc):
+        from kspm._engine import leftmost
+
+        p, diffs = pc
+        c = cfg(diffs, p)
+        enabled = c.enabled_columns()
+        assume(len(enabled) >= 2)
+        b = list(c.diffs)
+        fired: list[int] = []
+        shots: list[int] = []
+        total = leftmost(b, p, 10**10, len(enabled), fired, shots)
+        pile = reference.HeightPile(reference.heights_from_diffs(list(c.diffs)), p)
+        order = []
+        while pile.enabled():
+            order.append(pile.enabled()[0])
+            pile.fire(order[-1])
+        assert fired == order and total == len(order)
+        assert reference.trim(shots) == reference.trim(
+            [order.count(i) for i in range(max(order) + 1)]
+        )
+        assert b == pile.diffs()
+
     def test_work_limit(self):
         with pytest.raises(WorkLimitExceeded):
             stabilize(cfg([10**6], 2), work_limit=10)
@@ -201,7 +225,7 @@ class TestFixedPoint:
         n, p = 20000, 3
         b = [n]
         shots: list[int] = []
-        total = leftmost(b, p, 10**10, shots)
+        total = leftmost(b, p, 10**10, 1, shots=shots)
         while shots and not shots[-1]:
             shots.pop()
         assert fixed_point(n, Params(p)).diffs == tuple(b)

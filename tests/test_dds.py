@@ -95,12 +95,12 @@ class TestReconstructB:
         assert reconstruct_b(0, 0, Params(4)) == {0, 4}
 
     def test_always_contains_truth(self):
-        from kspm.dds import _pile
+        from kspm.dds import pile
 
         cases = [(2, n) for n in range(1, 501)] + [(3, n) for n in range(1, 301, 7)]
         for p, n_grains in cases:
             params = Params(p)
-            pi, sv = _pile(n_grains, params)
+            pi, sv = pile(n_grains, params)
             for n in range(pi.width() + p):
                 b_n = pi.diffs[n] if n < pi.width() else 0
                 candidates = reconstruct_b(sv.a(n - p), sv.a(n), params)
