@@ -49,12 +49,10 @@ from .dds import (
     x_to_avg,
 )
 from .analysis import (
-    LogFit,
     SupportReport,
     WaveReport,
     decompose_suffix,
     emergence_index,
-    log_fit,
     match_theorem1,
     match_theorem2,
     matches_theorem1_at,
@@ -73,7 +71,6 @@ __all__ = [
     "GRAIN_LIMIT",
     "HeightProfile",
     "LEFTMOST",
-    "LogFit",
     "Params",
     "RIGHTMOST",
     "RandomStrategy",
@@ -96,7 +93,6 @@ __all__ = [
     "global_density",
     "holes",
     "incremental_scan",
-    "log_fit",
     "match_theorem1",
     "match_theorem2",
     "matches_theorem1_at",

@@ -1,4 +1,4 @@
-"""Pattern structure of fixed points: waves, plateaus, support, fits.
+"""Pattern structure of fixed points: waves, plateaus and support.
 
 A *wave* is the height-difference pattern p, p-1, ..., 2, 1.  Stable
 piles eventually decompose into waves; two suffix languages capture this:
@@ -28,16 +28,13 @@ sqrt(N)/p - 1 and (p+1)*sqrt(N) + p + 1.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass
-from typing import IO, Iterable, Optional, Sequence
-
-import numpy as np
+from typing import Optional, Sequence
 
 from .core import Configuration, DEFAULT_WORK_LIMIT, HeightProfile, Params, fixed_point
-from .errors import DegenerateFit, NoMatch, NotStable
+from .errors import NoMatch, NotStable
 
 
 @dataclass(frozen=True)
@@ -85,13 +82,6 @@ class SupportReport:
             },
             separators=(",", ":"),
         )
-
-
-@dataclass(frozen=True)
-class LogFit:
-    slope: float
-    intercept: float
-    max_residual: float
 
 
 def _wave_table(diffs: Sequence[int], p: int) -> list[bool]:
@@ -242,29 +232,3 @@ def support_bounds(grains: int, p: int, width: int) -> SupportReport:
     root = math.sqrt(grains)
     return SupportReport(grains, width, root / p - 1.0, (p + 1) * root + p + 1.0)
 
-
-def log_fit(points: Iterable[tuple[int, int]]) -> LogFit:
-    """Least squares of index against log2(N); used to gate growth claims."""
-    pts = list(points)
-    if len(pts) < 3:
-        raise DegenerateFit(f"need at least 3 points, got {len(pts)}")
-    ns = [n for n, _ in pts]
-    if len(set(ns)) < 2:
-        raise DegenerateFit("all abscissae are equal")
-    x = np.log2(np.array(ns, dtype=float))
-    y = np.array([v for _, v in pts], dtype=float)
-    a = np.vstack([x, np.ones_like(x)]).T
-    (slope, intercept), *_ = np.linalg.lstsq(a, y, rcond=None)
-    residuals = y - (slope * x + intercept)
-    return LogFit(float(slope), float(intercept), float(np.max(np.abs(residuals))))
-
-
-SWEEP_HEADER = ("N", "p", "emergence_index", "first_constant_Y_index", "width", "L_global")
-
-
-def write_sweep_csv(stream: IO[str], rows: Iterable[tuple[int, int, int, int, int, int]]) -> None:
-    """Emit sweep measurements with the standard column set."""
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(SWEEP_HEADER)
-    for row in rows:
-        writer.writerow(row)

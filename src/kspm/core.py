@@ -50,6 +50,18 @@ def check_grains(grains: int, minimum: int = 0) -> None:
         raise InvalidParameter(f"grain count {grains} exceeds limit 2**40")
 
 
+def _naturals(values: Iterable[int], what: str) -> tuple[int, ...]:
+    """`values` with trailing zeros trimmed; each must be an int >= 0, not a bool."""
+    vs = tuple(values)
+    for v in vs:
+        if type(v) is not int or v < 0:
+            raise InvalidParameter(f"{what} must be a non-negative int, got {v!r}")
+    end = len(vs)
+    while end and vs[end - 1] == 0:
+        end -= 1
+    return vs[:end]
+
+
 @dataclass(frozen=True)
 class Params:
     """Model parameter: p grains fall at each firing."""
@@ -57,7 +69,7 @@ class Params:
     p: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.p, int) or self.p < 1:
+        if type(self.p) is not int or self.p < 1:
             raise InvalidParameter(f"p must be a positive integer, got {self.p!r}")
 
 
@@ -78,17 +90,11 @@ class HeightProfile:
     heights: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        hs = tuple(int(v) for v in self.heights)
-        while hs and hs[-1] == 0:
-            hs = hs[:-1]
+        hs = _naturals(self.heights, "height")
         object.__setattr__(self, "heights", hs)
-        prev = None
-        for h in hs:
-            if h < 0:
-                raise InvalidParameter(f"negative height {h}")
-            if prev is not None and h > prev:
+        for prev, h in zip(hs, hs[1:]):
+            if h > prev:
                 raise NotMonotone(f"heights increase: {prev} -> {h}")
-            prev = h
 
     def to_configuration(self, params: Params) -> "Configuration":
         hs = self.heights
@@ -104,13 +110,7 @@ class Configuration:
     params: Params
 
     def __post_init__(self) -> None:
-        ds = tuple(int(v) for v in self.diffs)
-        while ds and ds[-1] == 0:
-            ds = ds[:-1]
-        for v in ds:
-            if v < 0:
-                raise InvalidParameter(f"negative height difference {v}")
-        object.__setattr__(self, "diffs", ds)
+        object.__setattr__(self, "diffs", _naturals(self.diffs, "height difference"))
 
     # -- constructors ------------------------------------------------
 
@@ -196,8 +196,11 @@ class Configuration:
 
     @classmethod
     def from_text(cls, text: str, params: Params) -> "Configuration":
-        parts = text.split()
-        return cls(tuple(int(v) for v in parts), params)
+        try:
+            diffs = tuple(int(v) for v in text.split())
+        except ValueError as exc:
+            raise InvalidParameter(f"height differences must be integers: {text!r}") from exc
+        return cls(diffs, params)
 
 
 def stabilize(

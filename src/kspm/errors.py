@@ -37,10 +37,6 @@ class NoMatch(KSPMError):
     """No suffix of the configuration matches the requested pattern."""
 
 
-class DegenerateFit(KSPMError, ValueError):
-    """Not enough distinct abscissae to fit a regression line."""
-
-
 class NumericalFailure(KSPMError):
     """A numerical routine (root finder, eigensolver) did not converge."""
 

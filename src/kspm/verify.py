@@ -19,9 +19,11 @@ from .core import (
     DEFAULT_WORK_LIMIT,
     Params,
     RIGHTMOST,
+    check_grains,
     fixed_point,
     stabilize,
 )
+from .errors import InvalidParameter
 
 
 @dataclass
@@ -47,6 +49,7 @@ def check_confluence(
     """Leftmost, rightmost, and seeded random runs must all agree."""
     name = f"confluence p={p}"
     Params(p)  # rejects p < 1, on which the engines never stop
+    check_grains(n_max, 1)
     for grains in range(1, n_max + 1):
         ref = [grains]
         ref_total = _engine.leftmost(ref, p, work_limit, int(grains > p))
@@ -80,6 +83,7 @@ def check_plateau(p: int, n_max: int, work_limit: int = DEFAULT_WORK_LIMIT) -> C
     """No plateau longer than p+1 anywhere on any leftmost trajectory."""
     name = f"plateau p={p}"
     Params(p)  # rejects p < 1, on which the engine never stops
+    check_grains(n_max, 1)
     bound = p + 1
     worst = 1
     for grains in range(1, n_max + 1):
@@ -119,6 +123,8 @@ def check_support(p: int, n_max: int, work_limit: int = DEFAULT_WORK_LIMIT) -> C
 def check_spectrum(p_max: int, tolerance: float = 1e-9, dm_tolerance: float = 1e-7) -> CheckResult:
     """Distinct roots, modulus bound, and centered-matrix eigenvalues."""
     name = f"spectrum p<={p_max}"
+    if p_max < 2:
+        raise InvalidParameter(f"p_max must be >= 2, got {p_max}")
     worst_margin = -1.0
     worst_dm = 0.0
     for p in range(2, p_max + 1):
@@ -154,6 +160,7 @@ def check_waves(p: int, grains: int, work_limit: int = DEFAULT_WORK_LIMIT) -> Ch
     """Matcher soundness and the subset relation on one fixed point."""
     name = f"waves p={p} N={grains}"
     params = Params(p)
+    check_grains(grains, 1)
     c = fixed_point(grains, params, work_limit)
     report = analysis.wave_report(c)
     i1, i2 = report.theorem1_index, report.theorem2_index
@@ -193,6 +200,8 @@ def check_linkage(p: int, grains_list, work_limit: int = DEFAULT_WORK_LIMIT) -> 
     name = f"linkage p={p}"
     params = Params(p)
     grains_list = list(grains_list)
+    n_lo = min(grains_list, default=0)
+    check_grains(n_lo, 1)
     for grains in grains_list:
         c, sv = dds.pile(grains, params, work_limit)
         idx = dds.first_constant_index(dds.trajectory_of(c, sv, params))
@@ -205,7 +214,6 @@ def check_linkage(p: int, grains_list, work_limit: int = DEFAULT_WORK_LIMIT) -> 
                 f"suffix from first constant index {idx} not wavy for N={grains}",
                 {"p": p, "N": grains, "first_constant_index": idx, "diffs": list(c.diffs)},
             )
-    n_lo = min(grains_list)
     n_hi = max(grains_list)
     return CheckResult(name, True, f"{len(grains_list)} piles in [{n_lo}, {n_hi}] linked")
 
@@ -246,46 +254,11 @@ def check_density(p: int, n_max: int, work_limit: int = DEFAULT_WORK_LIMIT) -> C
     )
 
 
-def emergence_sweep(p: int, grain_values, work_limit: int = DEFAULT_WORK_LIMIT):
-    """Rows (N, p, emergence_index, first_constant_Y_index, width, L_global)
-    for each requested N, from a single grain-by-grain scan.
-
-    Shot counts are accumulated from the avalanche records, so the
-    averaging trajectory at each checkpoint comes for free.
-    """
-    wanted = set(grain_values)
-    params = Params(p)
-    shots: list[int] = []
-    l_global = 0
-    rows = []
-    for k, fired, b in avalanche.steps(max(wanted, default=0), p, work_limit):
-        shots.extend([0] * (len(b) - len(shots)))  # a fired column lies inside the new support
-        for col in fired:
-            shots[col] += 1
-        lp = avalanche._lprime(fired)
-        if lp > l_global:
-            l_global = lp
-        if k in wanted:
-            pi = Configuration._trusted(tuple(b), params)
-            sv = dds.ShotVector(tuple(shots), k, params)
-            traj = dds.trajectory_of(pi, sv, params)
-            rows.append(
-                (
-                    k,
-                    p,
-                    analysis.emergence_index(pi),
-                    dds.first_constant_index(traj),
-                    pi.width(),
-                    l_global,
-                )
-            )
-    return rows
-
-
 def check_recurrence(p: int, n_max: int, work_limit: int = DEFAULT_WORK_LIMIT) -> CheckResult:
     """Grain-by-grain pile equals the from-scratch fixed point for every k."""
     name = f"recurrence p={p}"
     params = Params(p)
+    check_grains(n_max, 1)
     current = Configuration((), params)
     for k in range(1, n_max + 1):
         # rightmost on purpose: a different strategy than the scan engine

@@ -1,4 +1,4 @@
-"""Wave matchers, plateau and support verifiers, and the log fit."""
+"""Wave matchers, plateau and support verifiers."""
 
 import math
 
@@ -12,7 +12,6 @@ from kspm import (
     decompose_suffix,
     emergence_index,
     fixed_point,
-    log_fit,
     match_theorem1,
     match_theorem2,
     matches_theorem1_at,
@@ -21,7 +20,7 @@ from kspm import (
     wave_report,
 )
 from kspm._engine import max_plateau_over_trajectory
-from kspm.errors import DegenerateFit, NotStable
+from kspm.errors import NotStable
 from kspm.verify import rebuild_suffix
 
 import reference
@@ -214,32 +213,3 @@ class TestSupportReport:
     def test_json(self):
         assert '"width":5' in support_report(24, Params(2)).to_json()
 
-
-class TestLogFit:
-    def test_exact_fit(self):
-        points = [(2**k, 3 * k) for k in range(4, 12)]
-        fit = log_fit(points)
-        assert math.isclose(fit.slope, 3.0, abs_tol=1e-9)
-        assert math.isclose(fit.intercept, 0.0, abs_tol=1e-9)
-        assert fit.max_residual < 1e-9
-
-    def test_constant(self):
-        fit = log_fit([(10, 4), (100, 4), (1000, 4)])
-        assert math.isclose(fit.slope, 0.0, abs_tol=1e-12)
-        assert math.isclose(fit.intercept, 4.0, abs_tol=1e-9)
-
-    def test_too_few_points(self):
-        with pytest.raises(DegenerateFit):
-            log_fit([(10, 1), (20, 2)])
-
-    def test_degenerate_abscissae(self):
-        with pytest.raises(DegenerateFit):
-            log_fit([(10, 1), (10, 2), (10, 3)])
-
-    def test_measured_sweep_is_finite(self):
-        points = [
-            (n, emergence_index(fixed_point(n, Params(2))))
-            for n in (2**8, 2**10, 2**12, 2**14, 2**16)
-        ]
-        fit = log_fit(points)
-        assert math.isfinite(fit.slope) and math.isfinite(fit.max_residual)

@@ -1,6 +1,7 @@
 """Avalanche records, the grain-by-grain recurrence, and density columns."""
 
 import io
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,6 +18,7 @@ from kspm import (
     holes,
     incremental_scan,
     run_avalanche,
+    shot_vector,
 )
 from kspm.errors import NotStable
 
@@ -189,6 +191,14 @@ class TestIncrementalScan:
         ks = []
         incremental_scan(17, Params(2), lambda k, a, c: ks.append(k))
         assert ks == list(range(1, 18))
+
+    # 4097 is past the relax cutoff, so the plain loop is checked against relax
+    @pytest.mark.parametrize("p, n", [(1, 300), (2, 4097), (3, 500), (4, 700)])
+    def test_fired_columns_sum_to_shot_vector(self, p, n):
+        totals = Counter()
+        incremental_scan(n, Params(p), lambda k, a, c: totals.update(a.fired))
+        # Counter equality treats missing columns as zero counts
+        assert totals == Counter(dict(enumerate(shot_vector(n, Params(p)).counts)))
 
 
 class TestDensityOnRealAvalanches:

@@ -145,6 +145,7 @@ class TestVerify:
             ("support", "--p-max", "1"),
             ("confluence", "--p-max", "0"),
             ("spectrum", "--p-max", "1"),
+            ("waves", "--p", "2", "--n", "0"),
         ],
     )
     def test_invalid_or_empty_range_exits_2(self, capsys, monkeypatch, argv):

@@ -38,6 +38,10 @@ class TestParams:
     def test_p_must_be_positive(self):
         with pytest.raises(InvalidParameter):
             Params(0)
+
+    def test_bool_rejected(self):
+        with pytest.raises(InvalidParameter):
+            Params(True)
         with pytest.raises(InvalidParameter):
             Params(-3)
 
@@ -320,3 +324,36 @@ class TestNormalization:
     def test_negative_rejected(self):
         with pytest.raises(InvalidParameter):
             cfg([1, -1], 2)
+
+    def test_floats_not_truncated(self):
+        with pytest.raises(InvalidParameter):
+            Configuration.of([2.7, 1.9], Params(2))
+
+    def test_heights_must_be_ints(self):
+        with pytest.raises(InvalidParameter):
+            HeightProfile((3.5, 1))
+
+    @pytest.mark.parametrize("value", ['"7"', "3.5", "true"])
+    def test_json_diffs_must_be_ints(self, value):
+        with pytest.raises(InvalidParameter):
+            Configuration.from_json('{"p":2,"diffs":[%s]}' % value)
+
+    def test_text_must_be_ints(self):
+        with pytest.raises(InvalidParameter):
+            Configuration.from_text("1.5 2", Params(2))
+
+    @given(
+        st.lists(st.integers(min_value=0, max_value=10**12), max_size=12),
+        st.one_of(st.floats(), st.text(), st.booleans()),
+        st.data(),
+    )
+    def test_only_non_negative_ints_accepted(self, diffs, bad, data):
+        c = Configuration.of(diffs, Params(2))
+        trimmed = list(diffs)
+        while trimmed and trimmed[-1] == 0:
+            trimmed.pop()
+        assert list(c.diffs) == trimmed
+        assert Configuration.from_json(c.to_json()) == c
+        at = data.draw(st.integers(min_value=0, max_value=len(diffs)))
+        with pytest.raises(InvalidParameter):
+            Configuration.of(diffs[:at] + [bad] + diffs[at:], Params(2))

@@ -1,14 +1,11 @@
-"""Verification suites and the sweep emitter."""
+"""Verification suites: passing runs, empty ranges and firing budgets."""
 
-import io
-import math
 import threading
 
 import pytest
 
 from kspm import Params, analysis, dds, fixed_point, incremental_scan
-from kspm.analysis import write_sweep_csv
-from kspm.errors import WorkLimitExceeded
+from kspm.errors import InvalidParameter, WorkLimitExceeded
 from kspm.verify import (
     check_confluence,
     check_density,
@@ -18,7 +15,6 @@ from kspm.verify import (
     check_spectrum,
     check_support,
     check_waves,
-    emergence_sweep,
 )
 
 
@@ -73,38 +69,27 @@ class TestLinkageSubstance:
         assert check_linkage(p, range(1, 401)).passed
 
 
-class TestEmergenceSweep:
-    def test_rows_match_direct_computation(self):
-        rows = emergence_sweep(2, [24, 100, 256])
-        assert [r[0] for r in rows] == [24, 100, 256]
-        for n, p, emi, fci, width, l_global in rows:
-            params = Params(p)
-            pi = fixed_point(n, params)
-            assert emi == analysis.emergence_index(pi)
-            assert fci == dds.first_constant_index(dds.avg_trajectory(n, params))
-            assert width == pi.width()
-        # L_global is the cumulative density column
-        from kspm import global_density
-
-        assert rows[-1][5] == global_density(256, Params(2))
-
-    def test_csv_format(self):
-        buf = io.StringIO()
-        write_sweep_csv(buf, emergence_sweep(2, [16, 64]))
-        lines = buf.getvalue().splitlines()
-        assert lines[0] == "N,p,emergence_index,first_constant_Y_index,width,L_global"
-        assert len(lines) == 3
-        assert all(len(line.split(",")) == 6 for line in lines[1:])
+class TestEmptyRanges:
+    @pytest.mark.parametrize(
+        "check, args",
+        [
+            pytest.param(check_confluence, (2, 0), id="confluence"),
+            pytest.param(check_plateau, (2, 0), id="plateau"),
+            pytest.param(check_recurrence, (2, 0), id="recurrence"),
+            pytest.param(check_spectrum, (1,), id="spectrum"),
+            pytest.param(check_linkage, (2, []), id="linkage"),
+            pytest.param(check_waves, (2, 0), id="waves"),
+        ],
+    )
+    def test_raises_instead_of_passing(self, check, args):
+        with pytest.raises(InvalidParameter):
+            check(*args)
 
 
 class TestWorkLimits:
     def test_scan_respects_budget(self):
         with pytest.raises(WorkLimitExceeded):
             incremental_scan(500, Params(2), work_limit=20)
-
-    def test_sweep_respects_budget(self):
-        with pytest.raises(WorkLimitExceeded):
-            emergence_sweep(2, [500], work_limit=20)
 
 
 class TestConcurrency:
