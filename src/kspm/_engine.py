@@ -24,9 +24,28 @@ up by at most one step per firing.
 fires every enabled column as often as its current value allows, which is
 a legal interleaving of single firings (firing another column never
 disables a pending one), so by confluence it reaches the same fixed point
-with the same per-column firing counts.  It is vectorized with numpy;
-with the grain count capped at 2**40 every intermediate value stays far
-below the int64 range.
+with the same per-column firing counts.  It is vectorized with numpy.
+
+Its pass count grows linearly with N, so large piles start warm.  In
+difference form KSPM(p) is an abelian sandpile on a directed graph with a
+sink: column i sends p chips to i-1 (to the sink for i = 0) and one to
+i+p, and every in-degree is at most p+1.  By the least action principle
+the shot vector u is the least odometer w >= 0 with c + Dw stable, where
+(Dw)_i = p*w_{i+1} + w_{i-p} - (p+1)*w_i.  `pile_with_shots` therefore
+relaxes c + Ds from a guess s <= u, the rescaled shot vector of the pile
+with a quarter of the grains, and `certify` checks the resulting odometer
+w >= u with a burning pass in exact ints.  A rejected w, a spill or an
+exhausted budget falls back to the cold relaxation of the bare pile, so
+the result never depends on the guess; floats appear only in the guess.
+
+int64 bound: with N <= 2**40 grains, p*u_i <= N (column i moves p grains
+past itself per firing and grains never move left).  The guess is below
+N/p as well, so every entry of c + Ds is at most (1 + (2p+2)/p)*N <= 5N in
+absolute value.  From a guess s <= u the odometer never passes u, so
+every transient keeps that bound; from an overshooting guess a pass
+raises the largest entry by at most p and never lowers a negative one.
+The cold relaxation from the bare pile stays below 2N.  All of this is
+far below 2**63.
 """
 
 from __future__ import annotations
@@ -41,7 +60,7 @@ from .errors import Inconsistent, WorkLimitExceeded
 DEFAULT_WORK_LIMIT = 10**10
 
 # Largest supported grain count.  Keeps the numpy path safely inside
-# int64 (transients are bounded by 2N) and makes resource use predictable.
+# int64 (transients are bounded by 5N) and makes resource use predictable.
 GRAIN_LIMIT = 1 << 40
 
 # Below this many grains the plain-Python leftmost loop beats numpy setup.
@@ -51,6 +70,11 @@ _RELAX_CUTOFF = 4096
 # blows up the width bound (p+1)*sqrt(N); those runs fire rarely and are
 # cheap in the plain loop, which grows storage to the actual width only.
 _RELAX_MAX_CELLS = 1 << 25
+
+# Warm start: pile_with_shots(N) starts from the rescaled shot vector of
+# N // _WARM_RATIO grains, shrunk by _WARM_FACTOR to stay below the truth.
+_WARM_RATIO = 4
+_WARM_FACTOR = 0.99
 
 
 def trim(b: list[int]) -> None:
@@ -230,21 +254,37 @@ def randomized(b: list[int], p: int, limit: int, seed: int) -> int:
     return total
 
 
-def relax(b0: list[int], grains: int, p: int, limit: int) -> tuple[list[int], list[int], int]:
-    """Batched stabilization: returns (fixed point, per-column firings, total).
+def relax(
+    b0: list[int], grains: int, p: int, limit: int, start: np.ndarray | None = None
+) -> tuple[list[int], list[int], int]:
+    """Batched stabilization: returns (final configuration, per-column firings, total).
 
     Equivalent to any sequential strategy by confluence; used as the fast
-    path for single-pile runs with many grains.  A spill past `support_cap`
-    would mean that bound is wrong, and raises Inconsistent.
+    path for single-pile runs with many grains.  `start`, a non-negative
+    firing vector s, is applied in one step first: the loop then relaxes
+    b0 + Ds and s is counted in the returned firings.  Only columns above
+    p fire, so entries that s drove negative stay put.  A spill past
+    `support_cap` raises Inconsistent: from a bare pile it would mean that
+    bound is wrong, from a start vector that s overshot.
     """
     pp1 = p + 1
     cap = support_cap(len(b0), grains, p)
     arr = np.zeros(cap, dtype=np.int64)
     arr[: len(b0)] = b0
     shots = np.zeros(cap, dtype=np.int64)
-    total = 0
+    if start is not None:
+        if len(start) > cap:
+            raise Inconsistent("start vector spills past the support bound")
+        shots[: len(start)] = start
+        arr -= shots * pp1
+        arr[:-1] += p * shots[1:]
+        arr[p:] += shots[:-p]
+    total = int(shots.sum())
+    if total > limit:
+        raise WorkLimitExceeded(f"firing budget {limit} exceeded")
     while True:
         t = arr // pp1
+        np.maximum(t, 0, out=t)
         fired = int(t.sum())
         if not fired:
             break
@@ -264,14 +304,99 @@ def relax(b0: list[int], grains: int, p: int, limit: int) -> tuple[list[int], li
     return b, s, total
 
 
+def certify(b0: list[int], p: int, w: list[int]) -> list[int] | None:
+    """b0 + Dw, trimmed, if w is the least stabilizing odometer of b0; else None.
+
+    A set A inside supp(w) can be un-fired (fired backwards once each) and
+    leave b = b0 + Dw stable iff every x in A has in-degree from A, namely
+    p*[x+1 in A] + [x-p in A], above b[x].  Burning removes from supp(w)
+    every column that fails this until none does; what is left is the
+    largest such A.  w is the least odometer u iff b is stable and nothing
+    is left: un-firing A would give a smaller stabilizing odometer, and if
+    w != u (so w >= u by least action) the set where w - u is largest could
+    be un-fired, since no in-degree exceeds p+1.  Exact ints, O(len(w) + p).
+    """
+    n = len(w)
+    b = list(b0) + [0] * max(0, n + p - len(b0))
+    pp1 = p + 1
+    for i, x in enumerate(w):
+        if x:
+            b[i] -= pp1 * x
+            if i:
+                b[i - 1] += p * x
+            b[i + p] += x
+    if any(v > p for v in b):
+        return None
+    live = [x > 0 for x in w] + [False] * pp1
+    indeg = [p * live[i + 1] + (i >= p and live[i - p]) for i in range(n)]
+    burn = [i for i in range(n) if live[i] and indeg[i] <= b[i]]
+    while burn:
+        i = burn.pop()
+        if not live[i]:
+            continue
+        live[i] = False
+        for j, d in ((i - 1, p), (i + p, 1)):
+            if j >= 0 and live[j]:
+                indeg[j] -= d
+                if indeg[j] <= b[j]:
+                    burn.append(j)
+    if any(live):
+        return None
+    trim(b)
+    return b
+
+
+def _sliding_min(x: np.ndarray, k: int) -> np.ndarray:
+    """out[i] = min(x[i : i + k]), reading x as 0 past its end; O(len(x))."""
+    n = len(x)
+    y = np.zeros(-(-(n + k - 1) // k) * k)
+    y[:n] = x
+    blocks = y.reshape(-1, k)
+    head = np.minimum.accumulate(blocks, axis=1).ravel()
+    tail = np.minimum.accumulate(blocks[:, ::-1], axis=1)[:, ::-1].ravel()
+    return np.minimum(tail[:n], head[k - 1 : n + k - 1])
+
+
+def _estimate(shots: list[int], sub: int, grains: int, p: int) -> np.ndarray:
+    """Under-estimate of the shot vector at `grains` from the one at `sub`.
+
+    Widths scale as sqrt(N), so with r = grains / sub the shot vector
+    satisfies a_i(grains) ~ r * a_{i/sqrt(r)}(sub).  The rescaled profile
+    is read off by linear interpolation, down to 0 one cell past its end.
+    A minimum over p+1 cells flattens the oscillation near the origin that
+    interpolation would misplace, and a fixed factor below 1 keeps the
+    guess under the true vector.
+    """
+    r = grains / sub
+    scale = math.sqrt(r)
+    x = np.arange(int(len(shots) * scale) + 1) / scale
+    est = r * np.interp(x, np.arange(len(shots) + 1), shots + [0])
+    return (_WARM_FACTOR * _sliding_min(est, p + 1)).astype(np.int64)
+
+
 def pile_with_shots(grains: int, p: int, limit: int) -> tuple[list[int], list[int], int]:
-    """Fixed point and shot vector of a single pile of `grains` on column 0."""
+    """Fixed point and shot vector of a single pile of `grains` on column 0.
+
+    Above the cutoff the relaxation starts from the shot vector of
+    grains // _WARM_RATIO, rescaled; a result that `certify` does not
+    accept, a spill or an exhausted budget sends it back to the bare pile.
+    """
     if grains < _RELAX_CUTOFF or support_cap(1, grains, p) > _RELAX_MAX_CELLS:
         b = [grains] if grains else []
         shots: list[int] = []
         total = leftmost(b, p, limit, int(grains > p), shots=shots)
         trim(shots)
         return b, shots, total
+    sub = grains // _WARM_RATIO
+    start = _estimate(pile_with_shots(sub, p, limit)[1], sub, grains, p)
+    try:
+        _, shots, total = relax([grains], grains, p, limit, start)
+    except (Inconsistent, WorkLimitExceeded):
+        pass
+    else:
+        b = certify([grains], p, shots)
+        if b is not None:
+            return b, shots, total
     return relax([grains], grains, p, limit)
 
 

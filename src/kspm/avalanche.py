@@ -81,7 +81,7 @@ Observer = Callable[[int, Avalanche, Configuration], None]
 
 def add_grain(c: Configuration) -> Configuration:
     """One more grain on column 0 (b_0 + 1)."""
-    check_grains(c.grain_count() + 1)
+    check_grains(c.grain_count() + 1, p=c.params.p)
     b = (c.diffs[0] + 1,) + c.diffs[1:] if c.diffs else (1,)
     return Configuration._trusted(b, c.params)
 
@@ -138,7 +138,7 @@ def steps(
     so a caller that keeps it must copy it.  The firing budget covers the
     whole scan.
     """
-    check_grains(grains, 1)
+    check_grains(grains, 1, p)
     b = [0]
     budget = work_limit
     for k in range(1, grains + 1):

@@ -42,12 +42,21 @@ LEFTMOST = "leftmost"
 RIGHTMOST = "rightmost"
 
 
-def check_grains(grains: int, minimum: int = 0) -> None:
-    """Reject a grain count outside minimum..GRAIN_LIMIT (InvalidParameter)."""
+def check_grains(grains: int, minimum: int = 0, p: int | None = None) -> None:
+    """Reject a grain count outside minimum..GRAIN_LIMIT (InvalidParameter).
+
+    Given `p`, also reject more than p grains when p + 1 exceeds the
+    engines' cell limit: the first firing would need p + 1 columns.
+    """
     if grains < minimum:
         raise InvalidParameter(f"grain count must be >= {minimum}, got {grains}")
     if grains > GRAIN_LIMIT:
         raise InvalidParameter(f"grain count {grains} exceeds limit 2**40")
+    if p is not None and grains > p and p + 1 > _engine._RELAX_MAX_CELLS:
+        raise InvalidParameter(
+            f"p={p} with {grains} grains needs {p + 1} columns, "
+            f"more than the limit {_engine._RELAX_MAX_CELLS}"
+        )
 
 
 def _naturals(values: Iterable[int], what: str) -> tuple[int, ...]:
@@ -188,8 +197,14 @@ class Configuration:
 
     @classmethod
     def from_json(cls, payload: str) -> "Configuration":
-        obj = json.loads(payload)
-        return cls(tuple(obj["diffs"]), Params(obj["p"]))
+        try:
+            obj = json.loads(payload)
+            diffs, p = tuple(obj["diffs"]), obj["p"]
+        except (ValueError, KeyError, TypeError) as exc:
+            raise InvalidParameter(
+                f'expected a JSON object with "p" and a "diffs" list: {exc}'
+            ) from exc
+        return cls(diffs, Params(p))
 
     def to_text(self) -> str:
         return " ".join(str(v) for v in self.diffs)
@@ -213,7 +228,7 @@ def stabilize(
     Both results are strategy-independent (strong convergence); the
     strategy only selects the firing order actually executed.
     """
-    check_grains(c.grain_count())
+    check_grains(c.grain_count(), p=c.params.p)
     b = list(c.diffs)
     p = c.params.p
     if strategy == LEFTMOST:
@@ -231,6 +246,6 @@ def fixed_point(
     grains: int, params: Params, work_limit: int = DEFAULT_WORK_LIMIT
 ) -> Configuration:
     """Fixed point of `grains` stacked on column 0."""
-    check_grains(grains)
+    check_grains(grains, p=params.p)
     b, _, _ = _engine.pile_with_shots(grains, params.p, work_limit)
     return Configuration._trusted(tuple(b), params)

@@ -122,7 +122,7 @@ def pile(
     grains: int, params: Params, work_limit: int = DEFAULT_WORK_LIMIT
 ) -> tuple[Configuration, ShotVector]:
     """Fixed point and shot vector of `grains` on column 0, from one run."""
-    check_grains(grains)
+    check_grains(grains, p=params.p)
     b, shots, _ = _engine.pile_with_shots(grains, params.p, work_limit)
     return (
         Configuration._trusted(tuple(b), params),

@@ -49,7 +49,7 @@ def check_confluence(
     """Leftmost, rightmost, and seeded random runs must all agree."""
     name = f"confluence p={p}"
     Params(p)  # rejects p < 1, on which the engines never stop
-    check_grains(n_max, 1)
+    check_grains(n_max, 1, p)
     for grains in range(1, n_max + 1):
         ref = [grains]
         ref_total = _engine.leftmost(ref, p, work_limit, int(grains > p))
@@ -83,7 +83,7 @@ def check_plateau(p: int, n_max: int, work_limit: int = DEFAULT_WORK_LIMIT) -> C
     """No plateau longer than p+1 anywhere on any leftmost trajectory."""
     name = f"plateau p={p}"
     Params(p)  # rejects p < 1, on which the engine never stops
-    check_grains(n_max, 1)
+    check_grains(n_max, 1, p)
     bound = p + 1
     worst = 1
     for grains in range(1, n_max + 1):

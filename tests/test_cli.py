@@ -50,6 +50,23 @@ class TestFixpoint:
         assert lines[1] == "0,2,8,8"
         assert len(lines) == 6
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("fixpoint", "--p", "2000", "--n", "2001"),
+            ("avalanche", "--p", "2000", "--upto", "2001"),
+            ("verify", "plateau", "--p", "2000", "--n-max", "2001"),
+        ],
+    )
+    def test_p_wider_than_cell_limit_exits_2(self, capsys, monkeypatch, argv):
+        from kspm import _engine
+
+        monkeypatch.setattr(_engine, "_RELAX_MAX_CELLS", 1000)
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "columns" in err
+
 
 class TestAvalanche:
     def test_single_text(self, capsys):

@@ -243,6 +243,24 @@ class TestFixedPoint:
         with pytest.raises(InvalidParameter):
             fixed_point((1 << 40) + 1, Params(2))
 
+    def test_p_wider_than_cell_limit_rejected(self, monkeypatch):
+        from kspm import _engine, incremental_scan, pile
+
+        # stands in for a real huge p: p + 1 columns exceed the cell limit
+        monkeypatch.setattr(_engine, "_RELAX_MAX_CELLS", 1000)
+        p = 2000
+        params = Params(p)
+        for call in (
+            lambda: fixed_point(p + 1, params),
+            lambda: pile(p + 1, params),
+            lambda: stabilize(cfg([p + 1], p)),
+            lambda: incremental_scan(p + 1, params),
+        ):
+            with pytest.raises(InvalidParameter):
+                call()
+        # no column fires, so nothing grows
+        assert fixed_point(p, params).diffs == (p,)
+
     def test_huge_p_stays_cheap(self):
         # width bound ~(p+1)*sqrt(N) is enormous here, but the realized
         # support is tiny; must not try to preallocate for the bound
@@ -337,6 +355,13 @@ class TestNormalization:
     def test_json_diffs_must_be_ints(self, value):
         with pytest.raises(InvalidParameter):
             Configuration.from_json('{"p":2,"diffs":[%s]}' % value)
+
+    @pytest.mark.parametrize(
+        "payload", ['{"p":2}', '{"p":2,"diffs":5}', "[1,2]", "not json", '"x"']
+    )
+    def test_malformed_json_rejected(self, payload):
+        with pytest.raises(InvalidParameter):
+            Configuration.from_json(payload)
 
     def test_text_must_be_ints(self):
         with pytest.raises(InvalidParameter):
