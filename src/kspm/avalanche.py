@@ -30,7 +30,7 @@ from typing import Callable, IO, Iterator, Optional
 
 from . import _engine
 from .core import Configuration, DEFAULT_WORK_LIMIT, Params, check_grains
-from .errors import NotStable
+from .errors import InvalidParameter, NotStable
 
 
 @dataclass(frozen=True)
@@ -53,8 +53,15 @@ class Avalanche:
 
     @classmethod
     def from_json(cls, payload: str) -> "Avalanche":
-        obj = json.loads(payload)
-        return cls(obj["k"], tuple(obj["fired"]))
+        try:
+            obj = json.loads(payload)
+            k, fired = obj["k"], tuple(obj["fired"])
+        except (ValueError, KeyError, TypeError) as exc:
+            raise InvalidParameter(f'expected a JSON object with "k" and "fired": {exc}') from exc
+        # not core._naturals: that trims trailing zeros, and column 0 may fire last
+        if type(k) is not int or k < 1 or not all(type(v) is int and v >= 0 for v in fired):
+            raise InvalidParameter("k must be an int >= 1 and fired a list of non-negative ints")
+        return cls(k, fired)
 
 
 @dataclass(frozen=True)

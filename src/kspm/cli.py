@@ -5,7 +5,9 @@ own: `fixpoint` prints a pile's fixed point, `avalanche` single records
 or streamed scans, `verify` the invariant sweeps, and `figure-data` the
 plot-ready CSV datasets.  Output is deterministic for identical
 invocations (seeds included); `--out` writes through a temp file and
-renames, so failures never leave partial files behind.
+renames, so failures never leave partial files behind.  Each `verify`
+suite takes only the flags it reads (`_SUITES`); any other flag, an
+abbreviated one, or `--p` with `--p-max` is an argument error.
 
 Exit codes: 0 success, 1 failed checks or internal anomalies, 2 bad
 arguments.  The environment variable KSPM_WORK_LIMIT overrides the
@@ -30,6 +32,18 @@ from .errors import InvalidParameter, KSPMError
 FORMATS = ("text", "json", "csv")
 WHICH = ("heights", "shot", "diffs")
 
+# suite -> (smallest p swept, default --p-max, size flag or None, default size or None)
+_SUITES = {
+    "confluence": (1, 5, "--n-max", 200),
+    "plateau": (2, 6, "--n-max", 300),
+    "support": (2, 6, "--n-max", 2000),
+    "spectrum": (2, 64, None, None),
+    "waves": (2, 4, "--n", None),
+    "linkage": (2, 4, "--n-max", 200),
+    "density": (2, 5, "--n-max", 1000),
+    "recurrence": (2, 4, "--n-max", 200),
+}
+
 
 def _work_limit() -> int:
     raw = os.environ.get("KSPM_WORK_LIMIT")
@@ -50,12 +64,18 @@ def _open_out(path: str | None) -> Iterator[IO[str]]:
     if path is None:
         yield sys.stdout
         return
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".kspm-", suffix=".part")
+    directory = os.path.dirname(os.path.abspath(path))
+    try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".kspm-", suffix=".part")
+    except OSError as exc:
+        raise InvalidParameter(f"cannot write {path}: {exc.strerror}") from None
     try:
         with os.fdopen(fd, "w", newline="") as stream:
             yield stream
-        os.replace(tmp, path)
+        try:
+            os.replace(tmp, path)
+        except OSError as exc:
+            raise InvalidParameter(f"cannot write {path}: {exc.strerror}") from None
     except BaseException:
         with contextlib.suppress(OSError):
             os.unlink(tmp)
@@ -81,25 +101,18 @@ def _parser() -> argparse.ArgumentParser:
     av.add_argument("--out", default=None)
 
     ve = sub.add_parser("verify", help="run an invariant suite; exit 0 iff all checks pass")
-    ve.add_argument(
-        "suite",
-        choices=(
-            "confluence",
-            "plateau",
-            "support",
-            "spectrum",
-            "waves",
-            "linkage",
-            "density",
-            "recurrence",
-        ),
-    )
-    ve.add_argument("--p", type=int, default=None)
-    ve.add_argument("--p-max", type=int, default=None)
-    ve.add_argument("--n", type=int, default=None)
-    ve.add_argument("--n-max", type=int, default=None)
-    ve.add_argument("--seed", type=int, default=0)
-    ve.add_argument("--out", default=None)
+    suites = ve.add_subparsers(dest="suite", required=True)
+    for suite, (_, p_max, size_flag, size) in _SUITES.items():
+        sp = suites.add_parser(suite, allow_abbrev=False)
+        group = sp.add_mutually_exclusive_group()
+        if suite != "spectrum":
+            group.add_argument("--p", type=int)
+        group.add_argument("--p-max", type=int, default=p_max)
+        if size_flag is not None:
+            sp.add_argument(size_flag, dest="size", type=int, default=size)
+        if suite == "confluence":
+            sp.add_argument("--seed", type=int, default=0)
+        sp.add_argument("--out", default=None)
 
     fd = sub.add_parser("figure-data", help="plot-ready datasets for one fixed point")
     fd.add_argument("--p", type=int, required=True)
@@ -173,56 +186,28 @@ def cmd_avalanche(args: argparse.Namespace) -> int:
     return 0
 
 
-def _at_least(value: int | None, default: int, lo: int, flag: str) -> int:
-    """`value` (or `default` when absent), rejected below `lo`: a sweep over
-    an empty range would check nothing."""
-    value = default if value is None else value
-    if value < lo:
-        raise InvalidParameter(f"{flag} must be >= {lo}, got {value}")
-    return value
-
-
-def _verify_ps(args: argparse.Namespace, lo: int, default_hi: int) -> list[int]:
-    if args.p is not None:
-        return [args.p]
-    return list(range(lo, _at_least(args.p_max, default_hi, lo, "--p-max") + 1))
-
-
 def cmd_verify(args: argparse.Namespace) -> int:
     limit = _work_limit()
-    results: list[verify.CheckResult] = []
-    suite = args.suite
-    if suite == "spectrum":
-        results.append(verify.check_spectrum(_at_least(args.p_max, 64, 2, "--p-max")))
-    elif suite == "waves":
-        if args.n is None:
-            raise InvalidParameter("verify waves needs --n")
-        for p in _verify_ps(args, 2, 4):
-            results.append(verify.check_waves(p, args.n, limit))
-    elif suite == "confluence":
-        n_max = _at_least(args.n_max, 200, 1, "--n-max")
-        for p in _verify_ps(args, 1, 5):
-            results.append(verify.check_confluence(p, n_max, 10, args.seed, limit))
-    elif suite == "plateau":
-        n_max = _at_least(args.n_max, 300, 1, "--n-max")
-        for p in _verify_ps(args, 2, 6):
-            results.append(verify.check_plateau(p, n_max, limit))
-    elif suite == "support":
-        n_max = _at_least(args.n_max, 2000, 1, "--n-max")
-        for p in _verify_ps(args, 2, 6):
-            results.append(verify.check_support(p, n_max, limit))
-    elif suite == "linkage":
-        n_max = _at_least(args.n_max, 200, 1, "--n-max")
-        for p in _verify_ps(args, 2, 4):
-            results.append(verify.check_linkage(p, range(1, n_max + 1), limit))
-    elif suite == "density":
-        n_max = _at_least(args.n_max, 1000, 1, "--n-max")
-        for p in _verify_ps(args, 2, 5):
-            results.append(verify.check_density(p, n_max, limit))
-    else:  # recurrence
-        n_max = _at_least(args.n_max, 200, 1, "--n-max")
-        for p in _verify_ps(args, 2, 4):
-            results.append(verify.check_recurrence(p, n_max, limit))
+    p_lo, _, size_flag, _ = _SUITES[args.suite]
+    # an empty range would check nothing and report PASS
+    if args.p_max < p_lo:
+        raise InvalidParameter(f"--p-max must be >= {p_lo}, got {args.p_max}")
+    # looked up per call, not stored in _SUITES, so a patched verify.check_* is the one run
+    check = getattr(verify, f"check_{args.suite}")
+    if args.suite == "spectrum":
+        results = [check(args.p_max)]
+    elif args.size is None:
+        raise InvalidParameter(f"verify {args.suite} needs {size_flag}")
+    elif args.size < 1:
+        raise InvalidParameter(f"{size_flag} must be >= 1, got {args.size}")
+    else:
+        ps = [args.p] if args.p is not None else range(p_lo, args.p_max + 1)
+        if args.suite == "confluence":
+            results = [check(p, args.size, 10, args.seed, limit) for p in ps]
+        elif args.suite == "linkage":
+            results = [check(p, range(1, args.size + 1), limit) for p in ps]
+        else:
+            results = [check(p, args.size, limit) for p in ps]
     ok = all(r.passed for r in results)
     with _open_out(args.out) as out:
         for r in results:

@@ -88,6 +88,10 @@ class RandomStrategy:
 
     seed: int
 
+    def __post_init__(self) -> None:
+        if type(self.seed) is not int:  # None would draw it from OS entropy: not reproducible
+            raise InvalidParameter(f"seed must be an int, got {self.seed!r}")
+
 
 Strategy = Union[str, RandomStrategy]
 
@@ -176,6 +180,8 @@ class Configuration:
 
     def fire(self, i: int) -> "Configuration":
         """Apply the rule at column i.  Requires b_i > p."""
+        if type(i) is not int:
+            raise InvalidParameter(f"column index must be an int, got {i!r}")
         if i < 0:
             raise IndexOutOfRange(f"column index must be >= 0, got {i}")
         p = self.params.p

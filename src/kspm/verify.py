@@ -25,6 +25,9 @@ from .core import (
 )
 from .errors import InvalidParameter
 
+_TOLERANCE = 1e-9  # root separation and modulus-bound slack of check_spectrum
+_DM_TOLERANCE = 1e-7  # centered-step eigenvalue error of check_spectrum
+
 
 @dataclass
 class CheckResult:
@@ -120,30 +123,28 @@ def check_support(p: int, n_max: int, work_limit: int = DEFAULT_WORK_LIMIT) -> C
     return CheckResult(name, True, f"N<=n_max={n_max}: all widths strictly inside bounds")
 
 
-def check_spectrum(p_max: int, tolerance: float = 1e-9, dm_tolerance: float = 1e-7) -> CheckResult:
+def check_spectrum(p_max: int) -> CheckResult:
     """Distinct roots, modulus bound, and centered-matrix eigenvalues."""
     name = f"spectrum p<={p_max}"
     if p_max < 2:
         raise InvalidParameter(f"p_max must be >= 2, got {p_max}")
-    worst_margin = -1.0
     worst_dm = 0.0
     for p in range(2, p_max + 1):
-        report = dds.spectrum(Params(p), tolerance)
+        report = dds.spectrum(Params(p), _TOLERANCE)
         margin = report.max_modulus - report.modulus_bound()
-        worst_margin = max(worst_margin, margin)
         worst_dm = max(worst_dm, report.dm_max_error)
         if not report.distinct:
             return CheckResult(
                 name, False, f"roots not pairwise distinct at p={p}",
                 {"p": p, "roots": [[z.real, z.imag] for z in report.roots]},
             )
-        if margin > tolerance:
+        if margin > _TOLERANCE:
             return CheckResult(
                 name, False,
                 f"max modulus {report.max_modulus:.12f} exceeds (p-1)/p at p={p}",
                 {"p": p, "max_modulus": report.max_modulus, "bound": report.modulus_bound()},
             )
-        if report.dm_max_error > dm_tolerance:
+        if report.dm_max_error > _DM_TOLERANCE:
             return CheckResult(
                 name, False,
                 f"centered-step eigenvalues off by {report.dm_max_error:.3e} at p={p}",
@@ -151,7 +152,7 @@ def check_spectrum(p_max: int, tolerance: float = 1e-9, dm_tolerance: float = 1e
             )
     return CheckResult(
         name, True,
-        f"roots distinct, modulus within {tolerance:.0e} of bound, "
+        f"roots distinct, modulus within {_TOLERANCE:.0e} of bound, "
         f"eigenvalue error <= {worst_dm:.2e}",
     )
 

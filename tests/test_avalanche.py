@@ -20,7 +20,7 @@ from kspm import (
     run_avalanche,
     shot_vector,
 )
-from kspm.errors import NotStable
+from kspm.errors import InvalidParameter, NotStable
 
 import reference
 
@@ -234,3 +234,27 @@ class TestScanCsv:
         a = Avalanche(25, (0, 2, 1, 4, 3))
         assert a.to_json() == '{"k":25,"fired":[0,2,1,4,3]}'
         assert Avalanche.from_json(a.to_json()) == a
+
+    def test_json_may_end_in_column_zero(self):
+        a = Avalanche(3, (1, 0))
+        assert Avalanche.from_json(a.to_json()) == a
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            '{"k":"a","fired":[1]}',
+            '{"k":0,"fired":[]}',
+            '{"k":true,"fired":[]}',
+            '{"k":1,"fired":[1.5]}',
+            '{"k":1,"fired":[true]}',
+            '{"k":1,"fired":[-1]}',
+            '{"k":1,"fired":"01"}',
+            '{"k":1,"fired":5}',
+            '{"k":1}',
+            "[1,2]",
+            "x",
+        ],
+    )
+    def test_malformed_json_rejected(self, payload):
+        with pytest.raises(InvalidParameter):
+            Avalanche.from_json(payload)

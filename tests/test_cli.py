@@ -172,6 +172,26 @@ class TestVerify:
         assert code == 2
         assert out == ""
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("spectrum", "--p", "5"),
+            ("spectrum", "--n-max", "3"),
+            ("recurrence", "--n", "7"),
+            ("waves", "--p", "2", "--n", "30", "--n-max", "5"),
+            ("plateau", "--seed", "4"),
+            ("support", "--p", "2", "--p-max", "3"),
+            ("linkage", "--seed", "1"),
+            ("density", "--n", "50"),
+            ("confluence", "--n-m", "9"),
+        ],
+    )
+    def test_unread_combined_or_abbreviated_flag_exits_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", *argv])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
     def test_failure_prints_counterexample_and_exits_1(self, capsys, monkeypatch):
         import kspm.verify as verify_mod
 
@@ -236,6 +256,18 @@ class TestOutputFile:
         assert "budget" in err
         assert not target.exists()
         assert not list(tmp_path.glob(".kspm-*"))
+
+    @pytest.mark.parametrize("target", ["missing/pile.txt", "dir"])
+    def test_unwritable_out_exits_2(self, tmp_path, capsys, target):
+        (tmp_path / "dir").mkdir()
+        out_path = tmp_path / target  # inside a missing directory, or a directory
+        code, out, err = run(
+            capsys, "fixpoint", "--p", "2", "--n", "24", "--out", str(out_path)
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"kspm: cannot write {out_path}")
+        assert not list(tmp_path.rglob(".kspm-*"))
 
     def test_support_spill_exits_1(self, capsys, monkeypatch):
         from kspm import Params, _engine, fixed_point

@@ -67,6 +67,11 @@ class TestFire:
         with pytest.raises(FiringNotEnabled):
             cfg([3], 2).fire(5)  # beyond the support: b = 0
 
+    @pytest.mark.parametrize("i", [1.5, True, "0"])
+    def test_index_must_be_int(self, i):
+        with pytest.raises(InvalidParameter):
+            cfg([0, 3], 2).fire(i)  # column 1 is enabled
+
     def test_negative_index(self):
         with pytest.raises(IndexOutOfRange):
             cfg([9], 2).fire(-1)
@@ -193,6 +198,12 @@ class TestStabilize:
     def test_work_limit(self):
         with pytest.raises(WorkLimitExceeded):
             stabilize(cfg([10**6], 2), work_limit=10)
+
+    @pytest.mark.parametrize("seed", [None, 1.5, "x", True])
+    def test_random_seed_must_be_int(self, seed):
+        # None would seed from OS entropy, so the firing order would not repeat
+        with pytest.raises(InvalidParameter):
+            RandomStrategy(seed)
 
     def test_unknown_strategy(self):
         with pytest.raises(InvalidParameter):

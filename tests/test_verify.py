@@ -50,6 +50,15 @@ class TestSuitesPass:
     def test_recurrence(self):
         assert check_recurrence(3, 60).passed
 
+    def test_spectrum_tolerance_is_a_module_constant(self, monkeypatch):
+        from kspm import verify
+
+        # max_modulus - (p-1)/p > -1 for every p, so the modulus check must fail
+        monkeypatch.setattr(verify, "_TOLERANCE", -1.0)
+        result = check_spectrum(4)
+        assert not result.passed
+        assert "exceeds" in result.detail
+
     def test_result_line_format(self):
         line = check_spectrum(4).line()
         assert line.startswith("PASS: spectrum p<=4")
