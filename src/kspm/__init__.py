@@ -27,7 +27,6 @@ from .avalanche import (
     ScanSummary,
     add_grain,
     density_column,
-    global_density,
     holes,
     incremental_scan,
     run_avalanche,
@@ -90,7 +89,6 @@ __all__ = [
     "errors",
     "first_constant_index",
     "fixed_point",
-    "global_density",
     "holes",
     "incremental_scan",
     "match_theorem1",

@@ -183,11 +183,6 @@ def incremental_scan(
     return ScanSummary(grains, params, l_global, total, max_avalanche, final)
 
 
-def global_density(grains: int, params: Params, work_limit: int = DEFAULT_WORK_LIMIT) -> int:
-    """L(p, N): max of L'(p, k) over k <= N."""
-    return incremental_scan(grains, params, None, work_limit).l_global
-
-
 class ScanCsvWriter:
     """Observer that appends one CSV row per grain.
 

@@ -5,13 +5,15 @@ own: `fixpoint` prints a pile's fixed point, `avalanche` single records
 or streamed scans, `verify` the invariant sweeps, and `figure-data` the
 plot-ready CSV datasets.  Output is deterministic for identical
 invocations (seeds included); `--out` writes through a temp file and
-renames, so failures never leave partial files behind.  Each `verify`
-suite takes only the flags it reads (`_SUITES`); any other flag, an
-abbreviated one, or `--p` with `--p-max` is an argument error.
+renames, so failures never leave partial files behind.  Every command,
+and each `verify` suite, takes only the flags it reads (`_SUITES`); any
+other flag, an abbreviated one, `--p` with `--p-max`, or `--negate`
+without `--which diffs` is an argument error.
 
-Exit codes: 0 success, 1 failed checks or internal anomalies, 2 bad
-arguments.  The environment variable KSPM_WORK_LIMIT overrides the
-firing budget used by every simulation.
+Exit codes: 0 success, 1 failed checks or internal anomalies (or a reader
+that closed the output pipe early), 2 bad arguments.  The environment
+variable KSPM_WORK_LIMIT overrides the firing budget used by every
+simulation.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import json
 import os
 import sys
@@ -82,28 +85,36 @@ def _open_out(path: str | None) -> Iterator[IO[str]]:
         raise
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="kspm", description=__doc__)
+    parser = argparse.ArgumentParser(prog="kspm", description=__doc__, allow_abbrev=False)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    fp = sub.add_parser("fixpoint", help="fixed point, heights, and shot vector of a pile")
+    def leaf(parent, name: str, run, **kwargs) -> argparse.ArgumentParser:
+        """A command or suite parser: strict flags, its handler, and `--out`."""
+        lp = parent.add_parser(name, allow_abbrev=False, **kwargs)
+        lp.set_defaults(run=run)
+        lp.add_argument("--out", default=None)
+        return lp
+
+    fp = leaf(sub, "fixpoint", cmd_fixpoint, help="fixed point, heights, and shot vector of a pile")
     fp.add_argument("--p", type=int, required=True)
     fp.add_argument("--n", type=int, required=True)
     fp.add_argument("--format", choices=FORMATS, default="text")
-    fp.add_argument("--out", default=None)
 
-    av = sub.add_parser("avalanche", help="single avalanche records or streamed scans")
+    av = leaf(sub, "avalanche", cmd_avalanche, help="single avalanche records or streamed scans")
     av.add_argument("--p", type=int, required=True)
     group = av.add_mutually_exclusive_group(required=True)
     group.add_argument("--k", type=int, help="report the k-th avalanche only")
     group.add_argument("--upto", type=int, help="stream avalanches for k = 1..UPTO")
     av.add_argument("--format", choices=FORMATS, default="text")
-    av.add_argument("--out", default=None)
 
-    ve = sub.add_parser("verify", help="run an invariant suite; exit 0 iff all checks pass")
+    ve = sub.add_parser(
+        "verify", allow_abbrev=False, help="run an invariant suite; exit 0 iff all checks pass"
+    )
     suites = ve.add_subparsers(dest="suite", required=True)
     for suite, (_, p_max, size_flag, size) in _SUITES.items():
-        sp = suites.add_parser(suite, allow_abbrev=False)
+        sp = leaf(suites, suite, cmd_verify)
         group = sp.add_mutually_exclusive_group()
         if suite != "spectrum":
             group.add_argument("--p", type=int)
@@ -112,22 +123,19 @@ def _parser() -> argparse.ArgumentParser:
             sp.add_argument(size_flag, dest="size", type=int, default=size)
         if suite == "confluence":
             sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--out", default=None)
 
-    fd = sub.add_parser("figure-data", help="plot-ready datasets for one fixed point")
+    fd = leaf(sub, "figure-data", cmd_figure_data, help="plot-ready datasets for one fixed point")
     fd.add_argument("--p", type=int, required=True)
     fd.add_argument("--n", type=int, required=True)
     fd.add_argument("--which", choices=WHICH, required=True)
     fd.add_argument("--negate", action="store_true",
                     help="flip difference signs to the a_n - a_{n+1} plotting convention")
-    fd.add_argument("--out", default=None)
 
     return parser
 
 
-def cmd_fixpoint(args: argparse.Namespace) -> int:
+def cmd_fixpoint(args: argparse.Namespace, limit: int) -> int:
     params = Params(args.p)
-    limit = _work_limit()
     pi, sv = dds.pile(args.n, params, limit)
     heights = pi.heights().heights
     with _open_out(args.out) as out:
@@ -153,9 +161,8 @@ def cmd_fixpoint(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_avalanche(args: argparse.Namespace) -> int:
+def cmd_avalanche(args: argparse.Namespace, limit: int) -> int:
     params = Params(args.p)
-    limit = _work_limit()
     if args.k is not None:
         if args.k < 1:
             raise InvalidParameter(f"--k must be >= 1, got {args.k}")
@@ -186,8 +193,7 @@ def cmd_avalanche(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
-    limit = _work_limit()
+def cmd_verify(args: argparse.Namespace, limit: int) -> int:
     p_lo, _, size_flag, _ = _SUITES[args.suite]
     # an empty range would check nothing and report PASS
     if args.p_max < p_lo:
@@ -203,7 +209,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     else:
         ps = [args.p] if args.p is not None else range(p_lo, args.p_max + 1)
         if args.suite == "confluence":
-            results = [check(p, args.size, 10, args.seed, limit) for p in ps]
+            results = [check(p, args.size, base_seed=args.seed, work_limit=limit) for p in ps]
         elif args.suite == "linkage":
             results = [check(p, range(1, args.size + 1), limit) for p in ps]
         else:
@@ -217,9 +223,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
-def cmd_figure_data(args: argparse.Namespace) -> int:
+def cmd_figure_data(args: argparse.Namespace, limit: int) -> int:
+    if args.negate and args.which != "diffs":
+        raise InvalidParameter("--negate needs --which diffs")
     params = Params(args.p)
-    limit = _work_limit()
     with _open_out(args.out) as out:
         writer = csv.writer(out, lineterminator="\n")
         if args.which == "heights":
@@ -249,16 +256,9 @@ def cmd_figure_data(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
-        if args.command == "fixpoint":
-            return cmd_fixpoint(args)
-        if args.command == "avalanche":
-            return cmd_avalanche(args)
-        if args.command == "verify":
-            return cmd_verify(args)
-        return cmd_figure_data(args)
+        return args.run(args, _work_limit())
     except InvalidParameter as exc:
         print(f"kspm: {exc}", file=sys.stderr)
         return 2
@@ -268,7 +268,15 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entrypoint() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe (`| head`); point stdout at devnull so
+        # the interpreter's exit flush cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

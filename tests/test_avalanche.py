@@ -14,7 +14,6 @@ from kspm import (
     add_grain,
     density_column,
     fixed_point,
-    global_density,
     holes,
     incremental_scan,
     run_avalanche,
@@ -181,7 +180,7 @@ class TestIncrementalScan:
             assert piles[k] == fixed_point(k, Params(p))
 
     def test_summary_l_global(self):
-        assert global_density(1, Params(2)) == 0
+        assert incremental_scan(1, Params(2)).l_global == 0
         summary = incremental_scan(25, Params(2))
         reports = []
         incremental_scan(25, Params(2), lambda k, a, c: reports.append(density_column(a)))

@@ -235,6 +235,30 @@ class TestFigureData:
         assert out.splitlines()[0] == "n,shots"
 
 
+class TestStrictFlags:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("fixpoint", "--p", "2", "--n", "24", "--form", "json"),
+            ("fixpoint", "--p", "2", "--n", "24", "--o", "x"),
+            ("avalanche", "--p", "2", "--up", "3"),
+            ("avalanche", "--p", "2", "--k", "3", "--form", "csv"),
+            ("figure-data", "--p", "2", "--n", "24", "--wh", "shot"),
+            ("figure-data", "--p", "2", "--n", "24", "--which", "diffs", "--neg"),
+            ("figure-data", "--p", "2", "--n", "24", "--which", "shot", "--negate"),
+            ("figure-data", "--p", "2", "--n", "24", "--which", "heights", "--negate"),
+        ],
+    )
+    def test_abbreviated_or_unread_flag_exits_2(self, capsys, monkeypatch, tmp_path, argv):
+        monkeypatch.chdir(tmp_path)  # an expanded `--o x` must not litter the checkout
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:  # argparse rejects abbreviations
+            code = exc.code
+        assert code == 2
+        assert capsys.readouterr().out == ""
+
+
 class TestOutputFile:
     def test_out_writes_atomically(self, tmp_path, capsys):
         target = tmp_path / "pile.txt"
@@ -333,6 +357,21 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert proc.stdout == "2 1 2 1 2\n"
+
+    def test_closed_pipe_exits_1_quietly(self):
+        # like `kspm avalanche ... | head -1`: the reader leaves mid-scan
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "kspm.cli", "avalanche", "--p", "2", "--upto", "200000",
+             "--format", "csv"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 1
+        assert err == b""
 
     def test_bad_args_exit_2(self):
         proc = subprocess.run(
