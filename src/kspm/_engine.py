@@ -20,6 +20,15 @@ additionally exploits locality: after firing column i the only column
 below i that can have become enabled is i - 1, so the scan cursor backs
 up by at most one step per firing.
 
+`avalanche` is a second leftmost loop, kept apart on purpose: the grain
+scan calls it once per grain and reads none of `leftmost`'s shots, optional
+lists or per-firing budget checks.  It needs a stable pile plus one grain
+on column 0 (b[0] > p, the one enabled column).  Then no column fires
+twice: at a first repeat, column i would hold at most p + (p+1) - (p+1) = p,
+having got at most p from i+1 and 1 from i-p (column 0 starts at p+1 but
+gets only p).  So nothing past the old support fires, and the scan charges
+the avalanche, at most the width long, to the budget once per grain.
+
 `relax` is a batched variant used for large single-pile runs: one pass
 fires every enabled column as often as its current value allows, which is
 a legal interleaving of single firings (firing another column never
@@ -63,7 +72,7 @@ DEFAULT_WORK_LIMIT = 10**10
 # int64 (transients are bounded by 5N) and makes resource use predictable.
 GRAIN_LIMIT = 1 << 40
 
-# Below this many grains the plain-Python leftmost loop beats numpy setup.
+# Below this many grains (a quarter at p=1) the plain-Python leftmost loop beats numpy setup.
 _RELAX_CUTOFF = 4096
 
 # Largest dense array the batched path may preallocate (cells).  Huge p
@@ -154,6 +163,39 @@ def leftmost(
             shots[i] += 1
     trim(b)
     return total
+
+
+def avalanche(b: list[int], p: int) -> list[int]:
+    """Leftmost avalanche from b, whose one enabled column is b[0] > p: fired columns in order."""
+    pp1 = p + 1
+    b.extend([0] * p)  # room for the firings at the old support's end
+    fired: list[int] = []
+    append = fired.append
+    enabled = 1
+    pos = 0
+    while enabled:
+        v = b[pos]
+        while v <= p:
+            pos += 1
+            v = b[pos]
+        append(pos)
+        b[pos] = v - pp1
+        enabled -= 1  # fired once, so at most p now
+        ip = pos + p
+        ov = b[ip]
+        b[ip] = ov + 1
+        if ov == p:
+            enabled += 1
+        if pos:
+            ov = b[pos - 1]
+            if ov:
+                b[pos - 1] = ov + p
+                enabled += 1
+                pos -= 1
+            else:
+                b[pos - 1] = p
+    trim(b)
+    return fired
 
 
 def rightmost(b: list[int], p: int, limit: int) -> int:
@@ -381,7 +423,8 @@ def pile_with_shots(grains: int, p: int, limit: int) -> tuple[list[int], list[in
     grains // _WARM_RATIO, rescaled; a result that `certify` does not
     accept, a spill or an exhausted budget sends it back to the bare pile.
     """
-    if grains < _RELAX_CUTOFF or support_cap(1, grains, p) > _RELAX_MAX_CELLS:
+    cutoff = _RELAX_CUTOFF // 4 if p == 1 else _RELAX_CUTOFF
+    if grains < cutoff or support_cap(1, grains, p) > _RELAX_MAX_CELLS:
         b = [grains] if grains else []
         shots: list[int] = []
         total = leftmost(b, p, limit, int(grains > p), shots=shots)

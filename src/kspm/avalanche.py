@@ -11,11 +11,12 @@ The density column L'(p,k) is where the avalanche stops skipping: from
 L'(p,k) up to its largest column everything fires.  L(p,N) aggregates the
 maximum of L'(p,k) over k <= N.
 
-`steps` is the one grain-by-grain loop: it yields each avalanche with the
-live pile, and `incremental_scan` and the verify sweeps drive it.
-`incremental_scan` streams one record per grain to an observer and keeps
-only the current pile in memory, so scans up to millions of grains need
-memory proportional to the support width, not to N.  Observer callbacks
+`steps` is the one grain-by-grain loop, on the `_engine.avalanche` kernel;
+`incremental_scan`, the verify sweeps and `kspm avalanche --upto` drive it.
+`ROWS` formats one avalanche as a csv, json or text row.  `incremental_scan`
+streams one record per grain to an observer and keeps only the current pile
+in memory, so scans up to millions of grains need memory proportional to the
+support width, not to N.  Observer callbacks
 run on the scan's own thread of control and must not assume reentrancy;
 the scan itself is inherently sequential in k, but distinct scans are
 independent and can run concurrently.
@@ -23,14 +24,13 @@ independent and can run concurrently.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass
-from typing import Callable, IO, Iterator, Optional
+from typing import Callable, IO, Iterator, Optional, Sequence
 
 from . import _engine
 from .core import Configuration, DEFAULT_WORK_LIMIT, Params, check_grains
-from .errors import InvalidParameter, NotStable
+from .errors import InvalidParameter, NotStable, WorkLimitExceeded
 
 
 @dataclass(frozen=True)
@@ -49,7 +49,7 @@ class Avalanche:
         return max(self.fired) if self.fired else None
 
     def to_json(self) -> str:
-        return json.dumps({"k": self.k, "fired": list(self.fired)}, separators=(",", ":"))
+        return ROWS["json"](self.k, self.fired, 0)
 
     @classmethod
     def from_json(cls, payload: str) -> "Avalanche":
@@ -104,8 +104,9 @@ def run_avalanche(
         raise NotStable("avalanches start from a stable configuration")
     p = c.params.p
     b = list(add_grain(c).diffs)
-    fired: list[int] = []
-    _engine.leftmost(b, p, work_limit, int(b[0] > p), fired)
+    fired = _engine.avalanche(b, p) if b[0] > p else []
+    if len(fired) > work_limit:
+        raise WorkLimitExceeded(f"firing budget {work_limit} exceeded")
     return Avalanche(k, tuple(fired)), Configuration._trusted(tuple(b), c.params)
 
 
@@ -143,15 +144,17 @@ def steps(
     `fired` lists the columns fired in order while absorbing grain k.  `b`
     is the live pile in height-difference form: the next step mutates it,
     so a caller that keeps it must copy it.  The firing budget covers the
-    whole scan.
+    whole scan and is charged after each avalanche.
     """
     check_grains(grains, 1, p)
     b = [0]
     budget = work_limit
     for k in range(1, grains + 1):
         b[0] += 1
-        fired: list[int] = []
-        budget -= _engine.leftmost(b, p, budget, int(b[0] > p), fired)
+        fired = _engine.avalanche(b, p) if b[0] > p else []
+        budget -= len(fired)
+        if budget < 0:
+            raise WorkLimitExceeded(f"firing budget {work_limit} exceeded")
         yield k, fired, b
 
 
@@ -193,11 +196,16 @@ class ScanCsvWriter:
     HEADER = ("k", "fired_count", "max_fired", "l_prime", "support_width")
 
     def __init__(self, stream: IO[str]):
-        self._writer = csv.writer(stream, lineterminator="\n")
-        self._writer.writerow(self.HEADER)
+        self._write = stream.write
+        self._write(",".join(self.HEADER) + "\n")
 
     def __call__(self, k: int, a: Avalanche, c: Configuration) -> None:
-        mf = a.max_fired
-        self._writer.writerow(
-            (k, len(a.fired), "" if mf is None else mf, _lprime(a.fired), c.width())
-        )
+        self._write(ROWS["csv"](k, a.fired, c.width()) + "\n")
+
+
+# output format -> one row over (k, fired columns, width), without the newline
+ROWS: dict[str, Callable[[int, Sequence[int], int], str]] = {
+    "csv": lambda k, f, w: f"{k},{len(f)},{max(f)},{_lprime(f)},{w}" if f else f"{k},0,,0,{w}",
+    "json": lambda k, f, w: f'{{"k":{k},"fired":[{",".join(map(str, f))}]}}',
+    "text": lambda k, f, w: f"{k}: {' '.join(map(str, f))}",
+}

@@ -22,6 +22,7 @@ import argparse
 import contextlib
 import csv
 import functools
+import itertools
 import json
 import os
 import sys
@@ -163,33 +164,25 @@ def cmd_fixpoint(args: argparse.Namespace, limit: int) -> int:
 
 def cmd_avalanche(args: argparse.Namespace, limit: int) -> int:
     params = Params(args.p)
+    row = avalanche.ROWS[args.format]
     if args.k is not None:
         if args.k < 1:
             raise InvalidParameter(f"--k must be >= 1, got {args.k}")
         previous = fixed_point(args.k - 1, params, limit)
         record, result = avalanche.run_avalanche(previous, args.k, limit)
-        with _open_out(args.out) as out:
-            if args.format == "text":
-                if record.fired:
-                    out.write(" ".join(map(str, record.fired)) + "\n")
-            elif args.format == "json":
-                out.write(record.to_json() + "\n")
-            else:
-                writer = avalanche.ScanCsvWriter(out)
-                writer(args.k, record, result)
-        return 0
-    if args.upto < 1:
+        if args.format != "text":
+            rows = iter([row(args.k, record.fired, result.width())])
+        else:  # a single record prints its columns only, and nothing when empty
+            rows = iter([" ".join(map(str, record.fired))] if record.fired else [])
+    elif args.upto < 1:
         raise InvalidParameter(f"--upto must be >= 1, got {args.upto}")
+    else:
+        rows = (row(k, fired, len(b)) for k, fired, b in avalanche.steps(args.upto, args.p, limit))
     with _open_out(args.out) as out:
         if args.format == "csv":
-            sink = avalanche.ScanCsvWriter(out)
-        elif args.format == "json":
-            def sink(k, record, config):
-                out.write(record.to_json() + "\n")
-        else:
-            def sink(k, record, config):
-                out.write(f"{k}: {' '.join(map(str, record.fired))}\n")
-        avalanche.incremental_scan(args.upto, params, sink, limit)
+            out.write(",".join(avalanche.ScanCsvWriter.HEADER) + "\n")
+        while chunk := list(itertools.islice(rows, 4096)):  # rows per write
+            out.write("\n".join(chunk) + "\n")
     return 0
 
 

@@ -19,7 +19,7 @@ from kspm import (
     run_avalanche,
     shot_vector,
 )
-from kspm.errors import InvalidParameter, NotStable
+from kspm.errors import InvalidParameter, NotStable, WorkLimitExceeded
 
 import reference
 
@@ -198,6 +198,13 @@ class TestIncrementalScan:
         incremental_scan(n, Params(p), lambda k, a, c: totals.update(a.fired))
         # Counter equality treats missing columns as zero counts
         assert totals == Counter(dict(enumerate(shot_vector(n, Params(p)).counts)))
+
+    @pytest.mark.parametrize("p, n", [(1, 300), (2, 2000), (3, 1000)])
+    def test_budget_is_the_scan_total(self, p, n):
+        total = incremental_scan(n, Params(p)).total_firings
+        assert incremental_scan(n, Params(p), work_limit=total).total_firings == total
+        with pytest.raises(WorkLimitExceeded):
+            incremental_scan(n, Params(p), work_limit=total - 1)
 
 
 class TestDensityOnRealAvalanches:

@@ -102,6 +102,76 @@ class TestAvalanche:
         assert exc.value.code == 2
 
 
+
+def library_scan(n, p):
+    """`avalanche --upto n` output per format, from incremental_scan and its sinks."""
+    import io
+
+    from kspm import Params, ScanCsvWriter, incremental_scan
+
+    bufs = {fmt: io.StringIO() for fmt in ("csv", "json", "text")}
+    csv_sink = ScanCsvWriter(bufs["csv"])
+
+    def sink(k, a, c):
+        csv_sink(k, a, c)
+        bufs["json"].write(a.to_json() + "\n")
+        bufs["text"].write(f"{k}: {' '.join(map(str, a.fired))}\n")
+
+    incremental_scan(n, Params(p), sink)
+    return {fmt: buf.getvalue() for fmt, buf in bufs.items()}
+
+
+class TestScanOutput:
+    """`avalanche --upto` writes in chunks; N crosses the chunk boundary."""
+
+    @pytest.mark.parametrize(
+        "p, n", [(p, n) for p in (1, 2, 3) for n in sorted({1, p, 4095, 4096, 4097, 9000})]
+    )
+    def test_matches_library_scan(self, capsys, tmp_path, p, n):
+        expected = library_scan(n, p)
+        for fmt, text in expected.items():
+            argv = ("avalanche", "--p", str(p), "--upto", str(n), "--format", fmt)
+            assert run(capsys, *argv) == (0, text, "")
+            target = tmp_path / f"scan.{fmt}"
+            assert run(capsys, *argv, "--out", str(target)) == (0, "", "")
+            assert target.read_bytes().decode() == text
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_single_k_formats(self, capsys, p):
+        from kspm import Params, fixed_point, run_avalanche
+
+        for k in (1, 2, 3, 25, 300):
+            record, result = run_avalanche(fixed_point(k - 1, Params(p)), k)
+            fired = list(record.fired)
+            # L': one past the largest hole (unfired column with a fired right neighbor)
+            lp = max((i + 1 for i in range(-1, len(result.diffs))
+                      if i not in fired and i + 1 in fired), default=0)
+            mf = max(fired) if fired else ""
+            expected = {
+                "text": " ".join(map(str, fired)) + "\n" if fired else "",
+                "json": json.dumps({"k": k, "fired": fired}, separators=(",", ":")) + "\n",
+                "csv": "k,fired_count,max_fired,l_prime,support_width\n"
+                f"{k},{len(fired)},{mf},{lp},{result.width()}\n",
+            }
+            for fmt, text in expected.items():
+                argv = ("avalanche", "--p", str(p), "--k", str(k), "--format", fmt)
+                assert run(capsys, *argv) == (0, text, "")
+
+    @pytest.mark.parametrize("p, n", [(1, 300), (2, 9000)])
+    def test_budget_is_the_scan_total(self, capsys, monkeypatch, p, n):
+        full = library_scan(n, p)["csv"]
+        total = sum(int(row.split(",")[1]) for row in full.splitlines()[1:])
+        argv = ("avalanche", "--p", str(p), "--upto", str(n), "--format", "csv")
+        monkeypatch.setenv("KSPM_WORK_LIMIT", str(total))
+        assert run(capsys, *argv) == (0, full, "")
+        monkeypatch.setenv("KSPM_WORK_LIMIT", str(total - 1))
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert err == f"kspm: firing budget {total - 1} exceeded\n"
+        # whole rows written before the failing grain's chunk, nothing else
+        assert full.startswith(out) and out.endswith("\n")
+
+
 class TestVerify:
     def test_waves(self, capsys):
         code, out, _ = run(capsys, "verify", "waves", "--p", "4", "--n", "2000")

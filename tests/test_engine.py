@@ -1,4 +1,6 @@
-"""The warm-started relaxation against the cold one, and its certificate."""
+"""The warm-started relaxation against the cold one, its certificate, and the avalanche kernel."""
+
+import functools
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ from hypothesis import given, strategies as st
 
 from kspm import Params, fixed_point
 from kspm import _engine
+from kspm.avalanche import steps
 from kspm.errors import WorkLimitExceeded
 
 LIMIT = 10**12
@@ -103,3 +106,40 @@ def test_sliding_min(k):
     padded = np.concatenate([x, np.zeros(k - 1)])
     expected = [padded[i : i + k].min() for i in range(len(x))]
     assert _engine._sliding_min(x, k).tolist() == expected
+
+
+@functools.cache
+def firing_scan_piles(p):
+    """Copies of pi(k - 1), k <= 1500, on which the k-th grain starts an avalanche."""
+    return [list(b) for _, _, b in steps(1499, p) if b[0] == p]
+
+
+class TestAvalancheKernel:
+    """`_engine.avalanche` against the general leftmost loop on the same pile."""
+
+    @staticmethod
+    def check(b, p):
+        ref = list(b)
+        fired_ref: list[int] = []
+        total = _engine.leftmost(ref, p, LIMIT, 1, fired_ref)
+        fired = _engine.avalanche(b, p)
+        assert fired == fired_ref
+        assert b == ref
+        assert len(fired) == total
+
+    @given(
+        st.integers(min_value=1, max_value=6).flatmap(
+            lambda p: st.tuples(st.just(p), st.lists(st.integers(0, p), max_size=40))
+        )
+    )
+    def test_random_stable_pile_plus_a_grain(self, case):
+        p, rest = case
+        # column 0 holds p before the grain, so it is the one enabled column
+        self.check([p + 1] + rest, p)
+
+    @given(st.integers(min_value=1, max_value=6), st.data())
+    def test_scan_piles_plus_a_grain(self, p, data):
+        piles = firing_scan_piles(p)
+        b = list(data.draw(st.sampled_from(piles)))
+        b[0] += 1
+        self.check(b, p)
