@@ -9,12 +9,16 @@ piles eventually decompose into waves; two suffix languages capture this:
     separating two wave blocks, then the all-zero tail.
 
 `match_theorem1` / `match_theorem2` return the smallest suffix start
-matching the loose/tight form.  Both are decided for every suffix in one
-right-to-left pass over the configuration (the alphabet is 0..p and the
-languages are fixed-shape, so a hand-rolled scan beats a regex engine and
-gives minimal-index semantics for free).  For a stable pile a match
-always exists, at worst at the all-zero tail; `WaveReport.nontrivial`
-records whether the loose match covers at least one wave.
+matching the loose/tight form.  One stability check and one wave table
+serve both forms, and each form is one right-to-left pass (a hand-rolled
+scan beats a regex engine on the fixed alphabet 0..p).  A wave starts with
+p != 0, so the loose form from j must open with the whole zero run r(j)
+starting at j:  ok[j] = r(j) <= p+1 and wave[j+r(j)] and ok[j+r(j)+p].
+The tight form tracks two flags per column (`pure`: waves to the tail;
+`tail`: the lone zero still available).  Index `width` starts the all-zero
+tail, which matches both forms, so on a stable pile a match always exists
+and the matchers return a plain `int`; `WaveReport.nontrivial` records
+whether the loose match covers at least one wave.
 
 The tight form deliberately requires the isolated zero to sit strictly
 between two wave blocks (a leading lone zero does not count); a zero
@@ -30,32 +34,24 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from dataclasses import asdict, dataclass
+from typing import Sequence
 
 from .core import Configuration, DEFAULT_WORK_LIMIT, HeightProfile, Params, fixed_point
-from .errors import NoMatch, NotStable
+from .errors import IndexOutOfRange, NoMatch, NotStable
 
 
 @dataclass(frozen=True)
 class WaveReport:
     """Wave structure of a stable configuration's suffix."""
 
-    theorem1_index: Optional[int]
-    theorem2_index: Optional[int]
+    theorem1_index: int
+    theorem2_index: int
     decomposition: tuple[tuple[int, int], ...]  # (zero-run, wave count) pairs
     nontrivial: bool
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "theorem1_index": self.theorem1_index,
-                "theorem2_index": self.theorem2_index,
-                "decomposition": [list(pair) for pair in self.decomposition],
-                "nontrivial": self.nontrivial,
-            },
-            separators=(",", ":"),
-        )
+        return json.dumps(asdict(self), separators=(",", ":"))
 
 
 @dataclass(frozen=True)
@@ -72,16 +68,7 @@ class SupportReport:
         return self.lower < self.width < self.upper
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "grains": self.grains,
-                "width": self.width,
-                "lower": self.lower,
-                "upper": self.upper,
-                "holds": self.holds,
-            },
-            separators=(",", ":"),
-        )
+        return json.dumps({**asdict(self), "holds": self.holds}, separators=(",", ":"))
 
 
 def _wave_table(diffs: Sequence[int], p: int) -> list[bool]:
@@ -89,121 +76,107 @@ def _wave_table(diffs: Sequence[int], p: int) -> list[bool]:
     m = len(diffs)
     wave = [False] * (m + 1)
     for j in range(m - p + 1):
-        if diffs[j] == p:
-            ok = True
+        if diffs[j] == p:  # explicit loop: all() is slower, and check_density runs this per grain
             for t in range(1, p):
                 if diffs[j + t] != p - t:
-                    ok = False
                     break
-            wave[j] = ok
+            else:
+                wave[j] = True
     return wave
 
 
-def _require_stable(c: Configuration) -> None:
+def _scan(c: Configuration) -> tuple[tuple[int, ...], int, list[bool]]:
+    """(diffs, p, wave table) of a stable configuration; both forms read it."""
     if not c.is_stable():
         raise NotStable("pattern matching is defined on stable configurations")
-
-
-def match_theorem1(c: Configuration) -> Optional[int]:
-    """Smallest n whose suffix is (up to p+1 zeros, then a wave)* then 0^omega."""
-    _require_stable(c)
     b = c.diffs
     p = c.params.p
+    return b, p, _wave_table(b, p)
+
+
+def _loose(b: Sequence[int], p: int, wave: list[bool]) -> list[bool]:
+    """ok[j]: the suffix from j (j <= len(b)) has the loose form."""
     m = len(b)
-    wave = _wave_table(b, p)
-    ok = [False] * (m + p + 2)
-    ok[m] = True
+    ok = [False] * m + [True]
+    run = 0  # zeros starting at j
     for j in range(m - 1, -1, -1):
-        z = 0
-        hit = False
-        while z <= p + 1 and j + z < m:
-            if z and b[j + z - 1] != 0:
-                break
-            if wave[j + z] and ok[j + z + p]:
-                hit = True
-                break
-            z += 1
-        ok[j] = hit
-    for j in range(m + 1):
-        if ok[j]:
-            return j
-    return None
+        run = run + 1 if b[j] == 0 else 0
+        ok[j] = run <= p + 1 and wave[j + run] and ok[j + run + p]
+    return ok
 
 
-def match_theorem2(c: Configuration) -> Optional[int]:
-    """Smallest n whose suffix is waves, at most one lone zero between two
-    wave blocks, waves again, then 0^omega."""
-    _require_stable(c)
-    b = c.diffs
-    p = c.params.p
+def _tight(b: Sequence[int], p: int, wave: list[bool]) -> int:
+    """Smallest suffix start of the tight form."""
     m = len(b)
-    wave = _wave_table(b, p)
-    pure = [False] * (m + p + 2)  # waves straight to the tail
-    tail = [False] * (m + p + 2)  # waves with the lone zero still available
-    for j in range(m, m + p + 2):
-        pure[j] = tail[j] = True
+    pure = [False] * m + [True]  # waves straight to the tail
+    tail = [False] * m + [True]  # waves with the lone zero still available
     for j in range(m - 1, -1, -1):
         pure[j] = wave[j] and pure[j + p]
         tail[j] = pure[j] or (b[j] == 0 and pure[j + 1]) or (wave[j] and tail[j + p])
-    for j in range(m + 1):
+    for j in range(m):
         if pure[j] or (wave[j] and tail[j + p]):
             return j
-    return None
+    return m
+
+
+def _decompose(b: Sequence[int], p: int, wave: list[bool], n: int) -> tuple[tuple[int, int], ...]:
+    m = len(b)
+    out: list[tuple[int, int]] = []
+    j = n
+    while j < m:
+        zeros = j
+        while j < m and b[j] == 0:
+            j += 1
+        waves = j
+        while j < m and wave[j]:
+            j += p
+        if j == waves:
+            raise NoMatch(f"no wave at column {j}")
+        out.append((waves - zeros, (j - waves) // p))
+    return tuple(out)
+
+
+def match_theorem1(c: Configuration) -> int:
+    """Smallest n whose suffix is (up to p+1 zeros, then a wave)* then 0^omega."""
+    return _loose(*_scan(c)).index(True)
+
+
+def match_theorem2(c: Configuration) -> int:
+    """Smallest n whose suffix is waves, at most one lone zero between two
+    wave blocks, waves again, then 0^omega."""
+    return _tight(*_scan(c))
+
+
+# the density bound's name for the tight index; an alias, not a wrapper, since
+# check_density calls it once per grain
+emergence_index = match_theorem2
 
 
 def decompose_suffix(c: Configuration, n: int) -> tuple[tuple[int, int], ...]:
     """(zero-run length, wave count) pairs covering the suffix from n.
 
     Raises NoMatch when the suffix does not parse into zero runs and
-    waves, i.e. when n is not a match index of the loose form.
+    waves, i.e. when n is not a match index of the loose form, and
+    IndexOutOfRange when n < 0.
     """
-    _require_stable(c)
-    b = c.diffs
-    p = c.params.p
-    m = len(b)
-    wave = _wave_table(b, p)
-    out: list[tuple[int, int]] = []
-    j = n
-    while j < m:
-        z = 0
-        while j < m and b[j] == 0:
-            z += 1
-            j += 1
-        if j >= m:
-            raise NoMatch(f"trailing zeros inside the support at {j}")
-        w = 0
-        while j < m and wave[j]:
-            w += 1
-            j += p
-        if not w:
-            raise NoMatch(f"no wave at column {j}")
-        out.append((z, w))
-    return tuple(out)
+    if n < 0:
+        raise IndexOutOfRange(f"suffix index must be >= 0, got {n}")
+    return _decompose(*_scan(c), n)
 
 
 def matches_theorem1_at(c: Configuration, n: int) -> bool:
     """Whether the suffix from n (not necessarily minimal) has the loose form."""
-    try:
-        parts = decompose_suffix(c, n)
-    except NoMatch:
-        return False
-    return all(z <= c.params.p + 1 for z, _ in parts)
+    if n < 0:
+        raise IndexOutOfRange(f"suffix index must be >= 0, got {n}")
+    ok = _loose(*_scan(c))
+    return ok[min(n, len(ok) - 1)]
 
 
 def wave_report(c: Configuration) -> WaveReport:
-    i1 = match_theorem1(c)
-    i2 = match_theorem2(c)
-    decomposition = decompose_suffix(c, i2) if i2 is not None else ()
-    nontrivial = i1 is not None and i1 < c.width()
-    return WaveReport(i1, i2, decomposition, nontrivial)
-
-
-def emergence_index(c: Configuration) -> int:
-    """Smallest suffix start matching the tight wave form."""
-    i2 = match_theorem2(c)
-    if i2 is None:
-        raise NoMatch("no suffix matches the tight wave form")
-    return i2
+    b, p, wave = _scan(c)
+    i1 = _loose(b, p, wave).index(True)
+    i2 = _tight(b, p, wave)
+    return WaveReport(i1, i2, _decompose(b, p, wave, i2), i1 < len(b))
 
 
 def max_plateau(h: HeightProfile) -> int:

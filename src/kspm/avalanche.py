@@ -100,6 +100,8 @@ def run_avalanche(
 
     When c = pi(k-1) the result is (k-th avalanche, pi(k)).
     """
+    if type(k) is not int or k < 1:
+        raise InvalidParameter(f"k must be an int >= 1, got {k!r}")
     if not c.is_stable():
         raise NotStable("avalanches start from a stable configuration")
     p = c.params.p

@@ -43,13 +43,13 @@ RIGHTMOST = "rightmost"
 
 
 def check_grains(grains: int, minimum: int = 0, p: int | None = None) -> None:
-    """Reject a grain count outside minimum..GRAIN_LIMIT (InvalidParameter).
+    """Reject a grain count that is not an int in minimum..GRAIN_LIMIT (InvalidParameter).
 
     Given `p`, also reject more than p grains when p + 1 exceeds the
     engines' cell limit: the first firing would need p + 1 columns.
     """
-    if grains < minimum:
-        raise InvalidParameter(f"grain count must be >= {minimum}, got {grains}")
+    if type(grains) is not int or grains < minimum:
+        raise InvalidParameter(f"grain count must be an int >= {minimum}, got {grains!r}")
     if grains > GRAIN_LIMIT:
         raise InvalidParameter(f"grain count {grains} exceeds limit 2**40")
     if p is not None and grains > p and p + 1 > _engine._RELAX_MAX_CELLS:

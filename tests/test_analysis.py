@@ -20,7 +20,7 @@ from kspm import (
     wave_report,
 )
 from kspm._engine import max_plateau_over_trajectory
-from kspm.errors import NotStable
+from kspm.errors import IndexOutOfRange, NotStable
 from kspm.verify import rebuild_suffix
 
 import reference
@@ -110,10 +110,18 @@ class TestMatchers:
     def test_match_at_agrees_with_brute(self, pc):
         p, diffs = pc
         c = cfg(diffs, p)
-        for n in range(c.width() + 1):
+        for n in range(c.width() + p + 2):
             assert matches_theorem1_at(c, n) == reference.suffix_matches_loose(
                 list(c.diffs[n:]), p
             )
+
+    @pytest.mark.parametrize("n", range(-6, 0))
+    def test_negative_suffix_index_rejected(self, n):
+        c = cfg([2, 1, 0, 2, 1], 2)
+        with pytest.raises(IndexOutOfRange):
+            decompose_suffix(c, n)
+        with pytest.raises(IndexOutOfRange):
+            matches_theorem1_at(c, n)
 
 
 class TestWaveReport:

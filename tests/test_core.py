@@ -9,8 +9,13 @@ from kspm import (
     Params,
     RandomStrategy,
     fixed_point,
+    incremental_scan,
+    pile,
+    run_avalanche,
     stabilize,
+    verify,
 )
+from kspm.avalanche import steps
 from kspm.errors import (
     FiringNotEnabled,
     IndexOutOfRange,
@@ -377,6 +382,36 @@ class TestNormalization:
     def test_text_must_be_ints(self):
         with pytest.raises(InvalidParameter):
             Configuration.from_text("1.5 2", Params(2))
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: pile(10.5, Params(2)),
+            lambda: fixed_point(True, Params(2)),
+            lambda: fixed_point(24.0, Params(2)),
+            lambda: list(steps(3.5, 2)),
+            lambda: incremental_scan("5", Params(2)),
+            lambda: verify.check_support(2, True),
+            lambda: verify.check_density(2, 5.5),
+            lambda: verify.check_plateau(2, 5.5),
+            lambda: verify.check_confluence(2, 5.5),
+            lambda: verify.check_recurrence(2, 5.5),
+            lambda: verify.check_spectrum(3.0),
+            lambda: run_avalanche(Configuration((), Params(2)), 0),
+            lambda: run_avalanche(Configuration((), Params(2)), 1.0),
+            lambda: run_avalanche(Configuration((), Params(2)), True),
+        ],
+        ids=[
+            "pile-float", "fixed_point-bool", "fixed_point-float", "steps-float",
+            "incremental_scan-str", "check_support-bool", "check_density-float",
+            "check_plateau-float", "check_confluence-float", "check_recurrence-float",
+            "check_spectrum-float", "run_avalanche-k0", "run_avalanche-float",
+            "run_avalanche-bool",
+        ],
+    )
+    def test_grain_counts_must_be_ints(self, call):
+        with pytest.raises(InvalidParameter):
+            call()
 
     @given(
         st.lists(st.integers(min_value=0, max_value=10**12), max_size=12),

@@ -1,0 +1,47 @@
+"""The package doctests and the README library example run as written."""
+
+import contextlib
+import doctest
+import io
+import pathlib
+import re
+
+import kspm
+
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+
+
+def library_example() -> str:
+    """The first python block under the README's "Library example" heading."""
+    text = README.read_text(encoding="utf-8")
+    section = text.split("## Library example", 1)[1]
+    return re.search(r"```python\n(.*?)```", section, re.S).group(1)
+
+
+def test_package_doctests():
+    result = doctest.testmod(kspm)
+    assert result.attempted >= 1
+    assert result.failed == 0
+
+
+def test_readme_library_example():
+    code = library_example()
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(code, str(README), "exec"), {})
+    printed = out.getvalue().splitlines()
+    comments = [line.split("#", 1)[1].strip() for line in code.splitlines()
+                if line.startswith("print(")]
+    assert len(printed) == len(comments) == 4
+    # each print's comment states its output: "head ... tail", or the value before a ":"
+    for got, comment in zip(printed, comments):
+        if " ... " in comment:
+            head, tail = comment.split(" ... ")
+            assert got.startswith(head) and got.endswith(tail)
+        else:
+            assert got == comment.split(":")[0]
+    to_text, a9, index, entries = printed
+    assert to_text.startswith("4 0 4 1 3 2") and to_text.endswith("4 3 2 1")
+    assert a9 == "103"
+    assert index == "20"
+    assert entries == "(-3, -5, -7, -7)"
