@@ -29,6 +29,21 @@ having got at most p from i+1 and 1 from i-p (column 0 starts at p+1 but
 gets only p).  So nothing past the old support fires, and the scan charges
 the avalanche, at most the width long, to the budget once per grain.
 
+A run is a chain of cascades: a new rightmost column fires, then the ones
+left of it while the left neighbour held a grain.  Let a cascade end with
+all of (i-p, i] fired, i the top (the block under the top is tracked per
+cascade in O(1)): nothing up to i is enabled, and each of (i, i+p] holds
+one grain from its left source.  Let M be the first j >= i with no column
+of (j, j+p] at p before the avalanche.  The rest fires exactly (i, M]:
+given (j-p, j] fired, a y in (j, j+p] that held p fires on the grain from
+y-p, then each column between j and y on p from its right; past M, the
+first column to fire has no fired right neighbour, so it held p, and its
+fired left source puts it in (M, M+p].  The net change is O(p), after p
+firings: b[i] += p, b[M] -= p, (M, M+p] gain one, and each column between
+gives and gets p+1.  In order, each y in (i, M) that held p, then M, fires
+y, y-1, ... down to the previous one + 1; those columns end as they began,
+so `tail` reads the order off the final pile.
+
 `relax` is a batched variant used for large single-pile runs: one pass
 fires every enabled column as often as its current value allows, which is
 a legal interleaving of single firings (firing another column never
@@ -165,14 +180,17 @@ def leftmost(
     return total
 
 
-def avalanche(b: list[int], p: int) -> list[int]:
-    """Leftmost avalanche from b, whose one enabled column is b[0] > p: fired columns in order."""
+def avalanche(b: list[int], p: int) -> tuple[list[int], int]:
+    """Leftmost avalanche from b, whose one enabled column is b[0] > p: (head, last),
+    the columns fired singly, in order, then the dense tail (max(head), last]."""
     pp1 = p + 1
     b.extend([0] * p)  # room for the firings at the old support's end
-    fired: list[int] = []
-    append = fired.append
+    head: list[int] = []
+    append = head.append
     enabled = 1
     pos = 0
+    top = below = -1  # largest fired column, now and at the last cascade's end
+    start = 0  # first column of the fired block that ends at top
     while enabled:
         v = b[pos]
         while v <= p:
@@ -181,6 +199,8 @@ def avalanche(b: list[int], p: int) -> list[int]:
         append(pos)
         b[pos] = v - pp1
         enabled -= 1  # fired once, so at most p now
+        if pos > top:
+            top = pos
         ip = pos + p
         ov = b[ip]
         b[ip] = ov + 1
@@ -192,9 +212,34 @@ def avalanche(b: list[int], p: int) -> list[int]:
                 b[pos - 1] = ov + p
                 enabled += 1
                 pos -= 1
-            else:
-                b[pos - 1] = p
+                continue
+            b[pos - 1] = p
+        if pos != below + 1:  # the cascade [pos, top] ends; it joins the block below if adjacent
+            start = pos
+        below = top
+        if enabled and top - start >= p - 1:  # the dense tail: undo, hop to M, write the change
+            b[top + 1 : top + pp1] = [x - 1 for x in b[top + 1 : top + pp1]]
+            last = top
+            try:
+                while True:
+                    last = b.index(p, last + 1, last + pp1)
+            except ValueError:
+                pass
+            b[top] += p
+            b[last] -= p
+            b[last + 1 : last + pp1] = [x + 1 for x in b[last + 1 : last + pp1]]
+            top = last
+            break
     trim(b)
+    return head, top
+
+
+def tail(b: list[int], p: int, top: int, last: int) -> list[int]:
+    """Firing order of the dense tail (top, last], read off the pile the avalanche left."""
+    fired: list[int] = []
+    for y in [y for y in range(top + 1, last) if b[y] == p] + [last]:
+        fired.extend(range(y, top, -1))
+        top = y
     return fired
 
 

@@ -37,8 +37,8 @@ import math
 from dataclasses import asdict, dataclass
 from typing import Sequence
 
-from .core import Configuration, DEFAULT_WORK_LIMIT, HeightProfile, Params, fixed_point
-from .errors import IndexOutOfRange, NoMatch, NotStable
+from .core import Configuration, DEFAULT_WORK_LIMIT, HeightProfile, Params, check_index, fixed_point
+from .errors import NoMatch, NotStable
 
 
 @dataclass(frozen=True)
@@ -156,18 +156,16 @@ def decompose_suffix(c: Configuration, n: int) -> tuple[tuple[int, int], ...]:
     """(zero-run length, wave count) pairs covering the suffix from n.
 
     Raises NoMatch when the suffix does not parse into zero runs and
-    waves, i.e. when n is not a match index of the loose form, and
-    IndexOutOfRange when n < 0.
+    waves, i.e. when n is not a match index of the loose form,
+    InvalidParameter when n is not an int and IndexOutOfRange when n < 0.
     """
-    if n < 0:
-        raise IndexOutOfRange(f"suffix index must be >= 0, got {n}")
+    check_index(n, "suffix index")
     return _decompose(*_scan(c), n)
 
 
 def matches_theorem1_at(c: Configuration, n: int) -> bool:
     """Whether the suffix from n (not necessarily minimal) has the loose form."""
-    if n < 0:
-        raise IndexOutOfRange(f"suffix index must be >= 0, got {n}")
+    check_index(n, "suffix index")
     ok = _loose(*_scan(c))
     return ok[min(n, len(ok) - 1)]
 

@@ -11,15 +11,16 @@ The density column L'(p,k) is where the avalanche stops skipping: from
 L'(p,k) up to its largest column everything fires.  L(p,N) aggregates the
 maximum of L'(p,k) over k <= N.
 
-`steps` is the one grain-by-grain loop, on the `_engine.avalanche` kernel;
-`incremental_scan`, the verify sweeps and `kspm avalanche --upto` drive it.
-`ROWS` formats one avalanche as a csv, json or text row.  `incremental_scan`
-streams one record per grain to an observer and keeps only the current pile
-in memory, so scans up to millions of grains need memory proportional to the
-support width, not to N.  Observer callbacks
-run on the scan's own thread of control and must not assume reentrancy;
-the scan itself is inherently sequential in k, but distinct scans are
-independent and can run concurrently.
+`steps` is the one grain-by-grain loop, on the `_engine.avalanche` kernel,
+which fires the dense tail (max(head), last] in one step.  Counts, L' and csv
+rows read off (k, head, last, b); only a full firing order rebuilds the tail
+from the pile.  `ROWS` formats one avalanche as a csv, json or text row, and
+`scan_rows` a scan.  `incremental_scan` streams one record per grain to an
+observer and keeps only the current pile in memory, so scans up to millions
+of grains need memory proportional to the support width, not to N.  Observer
+callbacks run on the scan's own thread of control and must not assume
+reentrancy; the scan itself is inherently sequential in k, but distinct
+scans are independent and can run concurrently.
 """
 
 from __future__ import annotations
@@ -106,7 +107,8 @@ def run_avalanche(
         raise NotStable("avalanches start from a stable configuration")
     p = c.params.p
     b = list(add_grain(c).diffs)
-    fired = _engine.avalanche(b, p) if b[0] > p else []
+    head, last = _engine.avalanche(b, p) if b[0] > p else ([], -1)
+    fired = _fired(head, last, b, p)
     if len(fired) > work_limit:
         raise WorkLimitExceeded(f"firing budget {work_limit} exceeded")
     return Avalanche(k, tuple(fired)), Configuration._trusted(tuple(b), c.params)
@@ -138,26 +140,32 @@ def _lprime(fired) -> int:
     return start
 
 
+def _fired(head: list[int], last: int, b: list[int], p: int) -> list[int]:
+    # the whole firing order; b must be the pile the avalanche just left
+    return head + _engine.tail(b, p, max(head), last) if head else head
+
+
 def steps(
     grains: int, p: int, work_limit: int = DEFAULT_WORK_LIMIT
-) -> Iterator[tuple[int, list[int], list[int]]]:
-    """Yield (k, fired, b) for k = 1 .. grains: the k-th avalanche and pi(k).
+) -> Iterator[tuple[int, list[int], int, list[int]]]:
+    """Yield (k, head, last, b) for k = 1 .. grains: the k-th avalanche and pi(k).
 
-    `fired` lists the columns fired in order while absorbing grain k.  `b`
-    is the live pile in height-difference form: the next step mutates it,
-    so a caller that keeps it must copy it.  The firing budget covers the
-    whole scan and is charged after each avalanche.
+    `head` lists the columns fired one at a time while absorbing grain k, in
+    order; each column of (max(head), last] fired once after them (last = -1
+    when none fired).  `b` is the live pile, which the next step mutates:
+    copy it, or rebuild the tail's order from it, before resuming.  The
+    firing budget covers the whole scan and is charged after each avalanche.
     """
     check_grains(grains, 1, p)
     b = [0]
     budget = work_limit
     for k in range(1, grains + 1):
         b[0] += 1
-        fired = _engine.avalanche(b, p) if b[0] > p else []
-        budget -= len(fired)
+        head, last = _engine.avalanche(b, p) if b[0] > p else ([], -1)
+        budget -= len(head) + last - max(head) if head else 0
         if budget < 0:
             raise WorkLimitExceeded(f"firing budget {work_limit} exceeded")
-        yield k, fired, b
+        yield k, head, last, b
 
 
 def incremental_scan(
@@ -175,15 +183,17 @@ def incremental_scan(
     l_global = 0
     total = 0
     max_avalanche = 0
-    for k, fired, b in steps(grains, params.p, work_limit):
-        total += len(fired)
-        if len(fired) > max_avalanche:
-            max_avalanche = len(fired)
-        lp = _lprime(fired)
+    for k, head, last, b in steps(grains, params.p, work_limit):
+        size = len(head) + last - max(head) if head else 0
+        total += size
+        if size > max_avalanche:
+            max_avalanche = size
+        lp = _lprime(head)
         if lp > l_global:
             l_global = lp
         if sink is not None:
-            sink(k, Avalanche(k, tuple(fired)), Configuration._trusted(tuple(b), params))
+            sink(k, Avalanche(k, tuple(_fired(head, last, b, params.p))),
+                 Configuration._trusted(tuple(b), params))
     final = Configuration._trusted(tuple(b), params)
     return ScanSummary(grains, params, l_global, total, max_avalanche, final)
 
@@ -203,6 +213,15 @@ class ScanCsvWriter:
 
     def __call__(self, k: int, a: Avalanche, c: Configuration) -> None:
         self._write(ROWS["csv"](k, a.fired, c.width()) + "\n")
+
+
+def scan_rows(fmt: str, grains: int, p: int, work_limit: int = DEFAULT_WORK_LIMIT) -> Iterator[str]:
+    """One `ROWS[fmt]` row per grain of a scan; csv rows never build the dense tail."""
+    scan = steps(grains, p, work_limit)
+    if fmt == "csv":  # the dense tail extends head's rightmost run, so L' is head's
+        return (f"{k},{len(h) + last - max(h)},{last},{_lprime(h)},{len(b)}"
+                if h else f"{k},0,,0,{len(b)}" for k, h, last, b in scan)
+    return (ROWS[fmt](k, _fired(head, last, b, p), len(b)) for k, head, last, b in scan)
 
 
 # output format -> one row over (k, fired columns, width), without the newline

@@ -164,20 +164,19 @@ def cmd_fixpoint(args: argparse.Namespace, limit: int) -> int:
 
 def cmd_avalanche(args: argparse.Namespace, limit: int) -> int:
     params = Params(args.p)
-    row = avalanche.ROWS[args.format]
     if args.k is not None:
         if args.k < 1:
             raise InvalidParameter(f"--k must be >= 1, got {args.k}")
         previous = fixed_point(args.k - 1, params, limit)
         record, result = avalanche.run_avalanche(previous, args.k, limit)
         if args.format != "text":
-            rows = iter([row(args.k, record.fired, result.width())])
+            rows = iter([avalanche.ROWS[args.format](args.k, record.fired, result.width())])
         else:  # a single record prints its columns only, and nothing when empty
             rows = iter([" ".join(map(str, record.fired))] if record.fired else [])
     elif args.upto < 1:
         raise InvalidParameter(f"--upto must be >= 1, got {args.upto}")
     else:
-        rows = (row(k, fired, len(b)) for k, fired, b in avalanche.steps(args.upto, args.p, limit))
+        rows = avalanche.scan_rows(args.format, args.upto, args.p, limit)
     with _open_out(args.out) as out:
         if args.format == "csv":
             out.write(",".join(avalanche.ScanCsvWriter.HEADER) + "\n")

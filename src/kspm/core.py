@@ -59,6 +59,14 @@ def check_grains(grains: int, minimum: int = 0, p: int | None = None) -> None:
         )
 
 
+def check_index(i: int, what: str) -> None:
+    """Reject an index that is not an int (InvalidParameter) or is negative (IndexOutOfRange)."""
+    if type(i) is not int:
+        raise InvalidParameter(f"{what} must be an int, got {i!r}")
+    if i < 0:
+        raise IndexOutOfRange(f"{what} must be >= 0, got {i}")
+
+
 def _naturals(values: Iterable[int], what: str) -> tuple[int, ...]:
     """`values` with trailing zeros trimmed; each must be an int >= 0, not a bool."""
     vs = tuple(values)
@@ -180,10 +188,7 @@ class Configuration:
 
     def fire(self, i: int) -> "Configuration":
         """Apply the rule at column i.  Requires b_i > p."""
-        if type(i) is not int:
-            raise InvalidParameter(f"column index must be an int, got {i!r}")
-        if i < 0:
-            raise IndexOutOfRange(f"column index must be >= 0, got {i}")
+        check_index(i, "column index")
         p = self.params.p
         ds = self.diffs
         v = ds[i] if i < len(ds) else 0

@@ -53,31 +53,24 @@ def check_confluence(
     name = f"confluence p={p}"
     Params(p)  # rejects p < 1, on which the engines never stop
     check_grains(n_max, 1, p)
+    if type(seeds) is not int or seeds < 0 or type(base_seed) is not int:
+        raise InvalidParameter(
+            f"seeds must be an int >= 0 and base_seed an int, got {seeds!r} and {base_seed!r}")
     for grains in range(1, n_max + 1):
         ref = [grains]
         ref_total = _engine.leftmost(ref, p, work_limit, int(grains > p))
-        alt = [grains]
-        alt_total = _engine.rightmost(alt, p, work_limit)
-        if alt != ref or alt_total != ref_total:
-            return CheckResult(
-                name,
-                False,
-                f"rightmost diverges at N={grains}",
-                {"p": p, "N": grains, "strategy": "rightmost",
-                 "expected": ref, "actual": alt,
-                 "expected_total": ref_total, "actual_total": alt_total},
-            )
-        for s in range(seeds):
-            rnd = [grains]
-            rnd_total = _engine.randomized(rnd, p, work_limit, base_seed + s)
-            if rnd != ref or rnd_total != ref_total:
+        for seed in [None, *range(base_seed, base_seed + seeds)]:  # None: rightmost
+            alt = [grains]
+            alt_total = (_engine.rightmost(alt, p, work_limit) if seed is None
+                         else _engine.randomized(alt, p, work_limit, seed))
+            if alt != ref or alt_total != ref_total:
+                where = "rightmost" if seed is None else f"random seed {seed}"
+                case = {"strategy": "rightmost"} if seed is None else {
+                    "strategy": "random", "seed": seed}
                 return CheckResult(
-                    name,
-                    False,
-                    f"random seed {base_seed + s} diverges at N={grains}",
-                    {"p": p, "N": grains, "strategy": "random", "seed": base_seed + s,
-                     "expected": ref, "actual": rnd,
-                     "expected_total": ref_total, "actual_total": rnd_total},
+                    name, False, f"{where} diverges at N={grains}",
+                    {"p": p, "N": grains, **case, "expected": ref, "actual": alt,
+                     "expected_total": ref_total, "actual_total": alt_total},
                 )
     return CheckResult(name, True, f"N<=n_max={n_max}, {seeds} random seeds: identical")
 
@@ -110,7 +103,7 @@ def check_support(p: int, n_max: int, work_limit: int = DEFAULT_WORK_LIMIT) -> C
     """Strict sqrt bounds on the fixed-point width for every N <= n_max."""
     name = f"support p={p}"
     Params(p)
-    for k, _, b in avalanche.steps(n_max, p, work_limit):
+    for k, _, _, b in avalanche.steps(n_max, p, work_limit):
         report = analysis.support_bounds(k, p, len(b))
         if not report.holds:
             return CheckResult(
@@ -227,15 +220,15 @@ def check_density(p: int, n_max: int, work_limit: int = DEFAULT_WORK_LIMIT) -> C
     l_global = 0
     checkpoints: dict[int, int] = {}
     prev_emergence = 0  # empty pile matches everywhere
-    for k, fired, b in avalanche.steps(n_max, p, work_limit):
-        lp = avalanche._lprime(fired)
+    for k, head, last, b in avalanche.steps(n_max, p, work_limit):
+        lp = avalanche._lprime(head)
         bound = prev_emergence + p + 1
         if lp > bound:
             return CheckResult(
                 name, False,
                 f"L'={lp} > emergence(pi({k - 1})) + p + 1 = {bound} at k={k}",
                 {"p": p, "k": k, "l_prime": lp, "bound": bound,
-                 "prev_emergence": prev_emergence, "fired": fired},
+                 "prev_emergence": prev_emergence, "fired": avalanche._fired(head, last, b, p)},
             )
         if lp > l_global:
             l_global = lp

@@ -20,7 +20,7 @@ from kspm import (
     wave_report,
 )
 from kspm._engine import max_plateau_over_trajectory
-from kspm.errors import IndexOutOfRange, NotStable
+from kspm.errors import IndexOutOfRange, InvalidParameter, NotStable
 from kspm.verify import rebuild_suffix
 
 import reference
@@ -121,6 +121,14 @@ class TestMatchers:
         with pytest.raises(IndexOutOfRange):
             decompose_suffix(c, n)
         with pytest.raises(IndexOutOfRange):
+            matches_theorem1_at(c, n)
+
+    @pytest.mark.parametrize("n", [1.5, True, False, "1", None])
+    def test_non_int_suffix_index_rejected(self, n):
+        c = cfg([2, 1, 0, 2, 1], 2)
+        with pytest.raises(InvalidParameter):
+            decompose_suffix(c, n)
+        with pytest.raises(InvalidParameter):
             matches_theorem1_at(c, n)
 
 

@@ -157,6 +157,32 @@ class TestScanOutput:
                 argv = ("avalanche", "--p", str(p), "--k", str(k), "--format", fmt)
                 assert run(capsys, *argv) == (0, text, "")
 
+    @pytest.mark.parametrize("p", [1, 2, 3, 5])
+    @pytest.mark.parametrize("n", [4097, 9000])
+    def test_csv_fields_from_json_rows(self, capsys, p, n):
+        """csv counts, largest column and L' recomputed from the json firing lists alone."""
+        from kspm import Params, fixed_point
+
+        scan = ("avalanche", "--p", str(p), "--upto", str(n), "--format")
+        code, csv_out, _ = run(capsys, *scan, "csv")
+        assert code == 0
+        code, json_out, _ = run(capsys, *scan, "json")
+        assert code == 0
+        header, *rows = csv_out.splitlines()
+        assert header == "k,fired_count,max_fired,l_prime,support_width"
+        records = [json.loads(line) for line in json_out.splitlines()]
+        assert len(rows) == len(records) == n
+        for row, record in zip(rows, records):
+            k, count, max_fired, l_prime, _ = row.split(",")
+            cols = sorted(record["fired"])
+            start = len(cols) - 1  # start of the last run of consecutive columns
+            while start > 0 and cols[start - 1] == cols[start] - 1:
+                start -= 1
+            expected = (len(cols), str(cols[-1]), cols[start]) if cols else (0, "", 0)
+            assert int(k) == record["k"]
+            assert (int(count), max_fired, int(l_prime)) == expected
+        assert int(rows[-1].split(",")[-1]) == fixed_point(n, Params(p)).width()
+
     @pytest.mark.parametrize("p, n", [(1, 300), (2, 9000)])
     def test_budget_is_the_scan_total(self, capsys, monkeypatch, p, n):
         full = library_scan(n, p)["csv"]

@@ -1,4 +1,4 @@
-"""The package doctests and the README library example run as written."""
+"""The package doctests, the README library example and its quoted CLI outputs hold as written."""
 
 import contextlib
 import doctest
@@ -7,6 +7,7 @@ import pathlib
 import re
 
 import kspm
+from kspm.cli import main
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
@@ -16,6 +17,15 @@ def library_example() -> str:
     text = README.read_text(encoding="utf-8")
     section = text.split("## Library example", 1)[1]
     return re.search(r"```python\n(.*?)```", section, re.S).group(1)
+
+
+def cli_examples() -> list[tuple[list[str], str]]:
+    """(argv, comment) for each line of the README's CLI block that has a comment."""
+    text = README.read_text(encoding="utf-8")
+    section = text.split("## CLI", 1)[1]
+    block = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
+    return [(cmd.split()[1:], comment.strip()) for cmd, _, comment in
+            (line.partition("#") for line in block.splitlines()) if comment]
 
 
 def test_package_doctests():
@@ -45,3 +55,24 @@ def test_readme_library_example():
     assert a9 == "103"
     assert index == "20"
     assert entries == "(-3, -5, -7, -7)"
+
+
+def test_readme_cli_outputs(capsys):
+    """A quoted comment is the whole output; a key=value comment is part of it."""
+    checked = []
+    for argv, comment in cli_examples():
+        quoted = re.fullmatch(r'"(.*)"', comment)
+        if not quoted and not re.fullmatch(r"\w+=\S+", comment):
+            continue  # a description, not an output
+        assert main(argv) == 0, argv
+        out = capsys.readouterr().out
+        if quoted:
+            assert out == quoted.group(1) + "\n", argv
+        else:
+            assert comment in out.split(), argv
+        checked.append(" ".join(argv))
+    assert checked == [
+        "fixpoint --p 2 --n 24",
+        "avalanche --p 2 --k 25",
+        "verify waves --p 4 --n 2000",
+    ]

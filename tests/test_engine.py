@@ -4,7 +4,7 @@ import functools
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import find, given, strategies as st
 
 from kspm import Params, fixed_point
 from kspm import _engine
@@ -111,21 +111,37 @@ def test_sliding_min(k):
 @functools.cache
 def firing_scan_piles(p):
     """Copies of pi(k - 1), k <= 1500, on which the k-th grain starts an avalanche."""
-    return [list(b) for _, _, b in steps(1499, p) if b[0] == p]
+    return [list(b) for _, _, _, b in steps(1499, p) if b[0] == p]
+
+
+def wavy(p):
+    """Stable piles made of waves p, p-1, ..., 1, runs of p, single zeros and any values."""
+    piece = st.one_of(
+        st.integers(1, 3).map(lambda n: list(range(p, 0, -1)) * n),
+        st.integers(1, p + 1).map(lambda n: [p] * n),
+        st.just([0]),
+        st.integers(0, p).map(lambda v: [v]),
+    )
+    return st.lists(piece, max_size=16).map(lambda parts: [v for part in parts for v in part])
+
+
+WAVY_CASES = st.integers(min_value=1, max_value=8).flatmap(lambda p: st.tuples(st.just(p), wavy(p)))
 
 
 class TestAvalancheKernel:
-    """`_engine.avalanche` against the general leftmost loop on the same pile."""
+    """`_engine.avalanche` and `_engine.tail` against the general leftmost loop on the same pile."""
 
     @staticmethod
     def check(b, p):
+        """Whether the kernel took the dense-tail step, after checking it."""
         ref = list(b)
         fired_ref: list[int] = []
         total = _engine.leftmost(ref, p, LIMIT, 1, fired_ref)
-        fired = _engine.avalanche(b, p)
-        assert fired == fired_ref
+        head, last = _engine.avalanche(b, p)
+        assert head + _engine.tail(b, p, max(head), last) == fired_ref
         assert b == ref
-        assert len(fired) == total
+        assert len(head) + last - max(head) == total
+        return last > max(head)
 
     @given(
         st.integers(min_value=1, max_value=6).flatmap(
@@ -143,3 +159,24 @@ class TestAvalancheKernel:
         b = list(data.draw(st.sampled_from(piles)))
         b[0] += 1
         self.check(b, p)
+
+    @given(WAVY_CASES)
+    def test_wavy_pile_plus_a_grain(self, case):
+        p, rest = case
+        self.check([p + 1] + rest, p)
+
+    def test_wavy_piles_reach_the_dense_tail(self):
+        # raises NoSuchExample if no drawn pile takes the dense-tail step
+        find(WAVY_CASES, lambda case: self.check([case[0] + 1] + case[1], case[0]))
+
+    @pytest.mark.parametrize("p, n", [(64, 3000), (1000, 3000)])
+    def test_steps_at_large_p(self, p, n):
+        ref: list[int] = []
+        for k, head, last, b in steps(n, p):
+            ref = ref or [0]
+            ref[0] += 1
+            fired: list[int] = []
+            total = _engine.leftmost(ref, p, LIMIT, int(ref[0] > p), fired)
+            assert b == ref, k
+            assert head + _engine.tail(b, p, max(head, default=-1), last) == fired
+            assert len(head) + last - max(head, default=-1) == total

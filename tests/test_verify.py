@@ -95,6 +95,20 @@ class TestEmptyRanges:
             check(*args)
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [{"seeds": -1}, {"seeds": True}, {"seeds": 2.0}, {"base_seed": 1.5}, {"base_seed": None}],
+)
+def test_confluence_rejects_bad_seed_arguments(kwargs):
+    with pytest.raises(InvalidParameter):
+        check_confluence(2, 5, **kwargs)
+
+
+def test_confluence_with_no_random_seeds():
+    result = check_confluence(2, 5, seeds=0, base_seed=-3)
+    assert result.passed and "0 random seeds" in result.detail
+
+
 class TestWorkLimits:
     def test_scan_respects_budget(self):
         with pytest.raises(WorkLimitExceeded):
