@@ -342,22 +342,22 @@ def randomized(b: list[int], p: int, limit: int, seed: int) -> int:
 
 
 def relax(
-    b0: list[int], grains: int, p: int, limit: int, start: np.ndarray | None = None
+    grains: int, p: int, limit: int, start: np.ndarray | None = None
 ) -> tuple[list[int], list[int], int]:
-    """Batched stabilization: returns (final configuration, per-column firings, total).
+    """Batched stabilization of `grains` on column 0: (final configuration, firings, total).
 
     Equivalent to any sequential strategy by confluence; used as the fast
     path for single-pile runs with many grains.  `start`, a non-negative
     firing vector s, is applied in one step first: the loop then relaxes
-    b0 + Ds and s is counted in the returned firings.  Only columns above
-    p fire, so entries that s drove negative stay put.  A spill past
-    `support_cap` raises Inconsistent: from a bare pile it would mean that
-    bound is wrong, from a start vector that s overshot.
+    the pile plus Ds and s is counted in the returned firings.  Only
+    columns above p fire, so entries that s drove negative stay put.  A
+    spill past `support_cap` raises Inconsistent: from a bare pile it would
+    mean that bound is wrong, from a start vector that s overshot.
     """
     pp1 = p + 1
-    cap = support_cap(len(b0), grains, p)
+    cap = support_cap(1, grains, p)
     arr = np.zeros(cap, dtype=np.int64)
-    arr[: len(b0)] = b0
+    arr[0] = grains
     shots = np.zeros(cap, dtype=np.int64)
     if start is not None:
         if len(start) > cap:
@@ -478,14 +478,14 @@ def pile_with_shots(grains: int, p: int, limit: int) -> tuple[list[int], list[in
     sub = grains // _WARM_RATIO
     start = _estimate(pile_with_shots(sub, p, limit)[1], sub, grains, p)
     try:
-        _, shots, total = relax([grains], grains, p, limit, start)
+        _, shots, total = relax(grains, p, limit, start)
     except (Inconsistent, WorkLimitExceeded):
         pass
     else:
         b = certify([grains], p, shots)
         if b is not None:
             return b, shots, total
-    return relax([grains], grains, p, limit)
+    return relax(grains, p, limit)
 
 
 def max_plateau_over_trajectory(grains: int, p: int, limit: int) -> int:

@@ -12,15 +12,15 @@ L'(p,k) up to its largest column everything fires.  L(p,N) aggregates the
 maximum of L'(p,k) over k <= N.
 
 `steps` is the one grain-by-grain loop, on the `_engine.avalanche` kernel,
-which fires the dense tail (max(head), last] in one step.  Counts, L' and csv
-rows read off (k, head, last, b); only a full firing order rebuilds the tail
-from the pile.  `ROWS` formats one avalanche as a csv, json or text row, and
-`scan_rows` a scan.  `incremental_scan` streams one record per grain to an
-observer and keeps only the current pile in memory, so scans up to millions
-of grains need memory proportional to the support width, not to N.  Observer
-callbacks run on the scan's own thread of control and must not assume
-reentrancy; the scan itself is inherently sequential in k, but distinct
-scans are independent and can run concurrently.
+which fires the dense tail (max(head), last] in one step.  `ROWS`, one row
+formatter per format, works on a step (k, head, last, b, p); a full firing
+list is a head with an empty tail (last = max(fired)), and `scan_rows` is
+gone.  `incremental_scan` streams one record per grain to an observer and
+keeps only the current pile in memory, so scans up to millions of grains
+need memory proportional to the support width, not to N.  Observer callbacks
+run on the scan's own thread of control and must not assume reentrancy; the
+scan itself is inherently sequential in k, but distinct scans are
+independent and can run concurrently.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ class Avalanche:
         return max(self.fired) if self.fired else None
 
     def to_json(self) -> str:
-        return ROWS["json"](self.k, self.fired, 0)
+        return json.dumps({"k": self.k, "fired": list(self.fired)}, separators=(",", ":"))
 
     @classmethod
     def from_json(cls, payload: str) -> "Avalanche":
@@ -62,6 +62,8 @@ class Avalanche:
         # not core._naturals: that trims trailing zeros, and column 0 may fire last
         if type(k) is not int or k < 1 or not all(type(v) is int and v >= 0 for v in fired):
             raise InvalidParameter("k must be an int >= 1 and fired a list of non-negative ints")
+        if len(set(fired)) != len(fired):
+            raise InvalidParameter("an avalanche fires each column at most once")
         return cls(k, fired)
 
 
@@ -140,9 +142,9 @@ def _lprime(fired) -> int:
     return start
 
 
-def _fired(head: list[int], last: int, b: list[int], p: int) -> list[int]:
+def _fired(head: Sequence[int], last: int, b: Sequence[int], p: int) -> list[int]:
     # the whole firing order; b must be the pile the avalanche just left
-    return head + _engine.tail(b, p, max(head), last) if head else head
+    return [*head, *_engine.tail(b, p, max(head), last)] if head else []
 
 
 def steps(
@@ -212,21 +214,16 @@ class ScanCsvWriter:
         self._write(",".join(self.HEADER) + "\n")
 
     def __call__(self, k: int, a: Avalanche, c: Configuration) -> None:
-        self._write(ROWS["csv"](k, a.fired, c.width()) + "\n")
+        self._write(ROWS["csv"](k, a.fired, max(a.fired, default=-1), c.diffs, c.params.p) + "\n")
 
 
-def scan_rows(fmt: str, grains: int, p: int, work_limit: int = DEFAULT_WORK_LIMIT) -> Iterator[str]:
-    """One `ROWS[fmt]` row per grain of a scan; csv rows never build the dense tail."""
-    scan = steps(grains, p, work_limit)
-    if fmt == "csv":  # the dense tail extends head's rightmost run, so L' is head's
-        return (f"{k},{len(h) + last - max(h)},{last},{_lprime(h)},{len(b)}"
-                if h else f"{k},0,,0,{len(b)}" for k, h, last, b in scan)
-    return (ROWS[fmt](k, _fired(head, last, b, p), len(b)) for k, head, last, b in scan)
-
-
-# output format -> one row over (k, fired columns, width), without the newline
-ROWS: dict[str, Callable[[int, Sequence[int], int], str]] = {
-    "csv": lambda k, f, w: f"{k},{len(f)},{max(f)},{_lprime(f)},{w}" if f else f"{k},0,,0,{w}",
-    "json": lambda k, f, w: f'{{"k":{k},"fired":[{",".join(map(str, f))}]}}',
-    "text": lambda k, f, w: f"{k}: {' '.join(map(str, f))}",
+# output format -> one row over a step, without the newline; L' is head's (the tail extends it)
+ROWS: dict[str, Callable[[int, Sequence[int], int, Sequence[int], int], str]] = {
+    "csv": lambda k, h, last, b, p: (
+        f"{k},{len(h) + last - max(h)},{last},{_lprime(h)},{len(b)}" if h else f"{k},0,,0,{len(b)}"
+    ),
+    "json": lambda k, h, last, b, p: (
+        f'{{"k":{k},"fired":[{",".join(map(str, _fired(h, last, b, p)))}]}}'
+    ),
+    "text": lambda k, h, last, b, p: f"{k}: {' '.join(map(str, _fired(h, last, b, p)))}",
 }

@@ -3,7 +3,9 @@
 Subcommands wrap the library one-to-one and keep no numerics of their
 own: `fixpoint` prints a pile's fixed point, `avalanche` single records
 or streamed scans, `verify` the invariant sweeps, and `figure-data` the
-plot-ready CSV datasets.  Output is deterministic for identical
+plot-ready CSV datasets.  A handler returns (exit code, *blocks of
+lines); `main` writes every command's output, through `_open_out`, in
+writes of at most 4,096 lines.  Output is deterministic for identical
 invocations (seeds included); `--out` writes through a temp file and
 renames, so failures never leave partial files behind.  Every command,
 and each `verify` suite, takes only the flags it reads (`_SUITES`); any
@@ -20,7 +22,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import functools
 import itertools
 import json
@@ -135,57 +136,47 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
-def cmd_fixpoint(args: argparse.Namespace, limit: int) -> int:
+def cmd_fixpoint(args: argparse.Namespace, limit: int) -> tuple:
     params = Params(args.p)
     pi, sv = dds.pile(args.n, params, limit)
     heights = pi.heights().heights
-    with _open_out(args.out) as out:
-        if args.format == "text":
-            if pi.diffs:
-                out.write(pi.to_text() + "\n")
-        elif args.format == "json":
-            out.write(json.dumps(
-                {
-                    "p": args.p,
-                    "N": args.n,
-                    "diffs": list(pi.diffs),
-                    "heights": list(heights),
-                    "shot_vector": list(sv.counts),
-                },
-                separators=(",", ":"),
-            ) + "\n")
-        else:
-            writer = csv.writer(out, lineterminator="\n")
-            writer.writerow(("n", "b_n", "h_n", "a_n"))
-            for n in range(pi.width()):
-                writer.writerow((n, pi.diffs[n], heights[n], sv.a(n)))
-    return 0
+    if args.format == "text":
+        return 0, [pi.to_text()] if pi.diffs else []
+    if args.format == "json":
+        return 0, [json.dumps(
+            {
+                "p": args.p,
+                "N": args.n,
+                "diffs": list(pi.diffs),
+                "heights": list(heights),
+                "shot_vector": list(sv.counts),
+            },
+            separators=(",", ":"),
+        )]
+    rows = (f"{n},{pi.diffs[n]},{heights[n]},{sv.a(n)}" for n in range(pi.width()))
+    return 0, ["n,b_n,h_n,a_n"], rows
 
 
-def cmd_avalanche(args: argparse.Namespace, limit: int) -> int:
+def cmd_avalanche(args: argparse.Namespace, limit: int) -> tuple:
     params = Params(args.p)
-    if args.k is not None:
-        if args.k < 1:
-            raise InvalidParameter(f"--k must be >= 1, got {args.k}")
-        previous = fixed_point(args.k - 1, params, limit)
-        record, result = avalanche.run_avalanche(previous, args.k, limit)
-        if args.format != "text":
-            rows = iter([avalanche.ROWS[args.format](args.k, record.fired, result.width())])
-        else:  # a single record prints its columns only, and nothing when empty
-            rows = iter([" ".join(map(str, record.fired))] if record.fired else [])
-    elif args.upto < 1:
-        raise InvalidParameter(f"--upto must be >= 1, got {args.upto}")
-    else:
-        rows = avalanche.scan_rows(args.format, args.upto, args.p, limit)
-    with _open_out(args.out) as out:
-        if args.format == "csv":
-            out.write(",".join(avalanche.ScanCsvWriter.HEADER) + "\n")
-        while chunk := list(itertools.islice(rows, 4096)):  # rows per write
-            out.write("\n".join(chunk) + "\n")
-    return 0
+    row = avalanche.ROWS[args.format]
+    header = [",".join(avalanche.ScanCsvWriter.HEADER)] if args.format == "csv" else []
+    if args.k is None:
+        if args.upto < 1:
+            raise InvalidParameter(f"--upto must be >= 1, got {args.upto}")
+        scan = avalanche.steps(args.upto, args.p, limit)
+        return 0, header, (row(k, head, last, b, args.p) for k, head, last, b in scan)
+    if args.k < 1:
+        raise InvalidParameter(f"--k must be >= 1, got {args.k}")
+    previous = fixed_point(args.k - 1, params, limit)
+    record, result = avalanche.run_avalanche(previous, args.k, limit)
+    fired = record.fired
+    if args.format == "text":  # a single record prints its columns only, and nothing when empty
+        return 0, [" ".join(map(str, fired))] if fired else []
+    return 0, header, [row(args.k, fired, max(fired, default=-1), result.diffs, args.p)]
 
 
-def cmd_verify(args: argparse.Namespace, limit: int) -> int:
+def cmd_verify(args: argparse.Namespace, limit: int) -> tuple:
     p_lo, _, size_flag, _ = _SUITES[args.suite]
     # an empty range would check nothing and report PASS
     if args.p_max < p_lo:
@@ -206,51 +197,45 @@ def cmd_verify(args: argparse.Namespace, limit: int) -> int:
             results = [check(p, range(1, args.size + 1), limit) for p in ps]
         else:
             results = [check(p, args.size, limit) for p in ps]
-    ok = all(r.passed for r in results)
-    with _open_out(args.out) as out:
-        for r in results:
-            out.write(r.line() + "\n")
-            if not r.passed and r.counterexample is not None:
-                out.write("counterexample: " + json.dumps(r.counterexample, separators=(",", ":")) + "\n")
-    return 0 if ok else 1
+    lines = []
+    for r in results:
+        lines.append(r.line())
+        if not r.passed and r.counterexample is not None:
+            lines.append("counterexample: " + json.dumps(r.counterexample, separators=(",", ":")))
+    return (0 if all(r.passed for r in results) else 1), lines
 
 
-def cmd_figure_data(args: argparse.Namespace, limit: int) -> int:
+def cmd_figure_data(args: argparse.Namespace, limit: int) -> tuple:
     if args.negate and args.which != "diffs":
         raise InvalidParameter("--negate needs --which diffs")
     params = Params(args.p)
-    with _open_out(args.out) as out:
-        writer = csv.writer(out, lineterminator="\n")
-        if args.which == "heights":
-            pi = fixed_point(args.n, params, limit)
-            heights = pi.heights().heights
-            writer.writerow(("n", "height"))
-            for n, h in enumerate(heights):
-                writer.writerow((n, h))
-        elif args.which == "shot":
-            pi, sv = dds.pile(args.n, params, limit)
-            writer.writerow(("n", "shots"))
-            for n in range(pi.width()):
-                writer.writerow((n, sv.a(n)))
-        else:
-            pi, sv = dds.pile(args.n, params, limit)
-            traj = dds.trajectory_of(pi, sv, params)
-            sign = -1 if args.negate else 1
-            writer.writerow(
-                ("n", *(f"y{j}" for j in range(args.p)), "mean_numerator", "b_n")
-            )
-            for n, y in enumerate(traj):
-                b_n = pi.diffs[n] if n < pi.width() else 0
-                writer.writerow(
-                    (n, *(sign * v for v in y.entries), sign * y.mean_numerator(), b_n)
-                )
-    return 0
+    if args.which == "heights":
+        heights = fixed_point(args.n, params, limit).heights().heights
+        return 0, ["n,height"], (f"{n},{h}" for n, h in enumerate(heights))
+    pi, sv = dds.pile(args.n, params, limit)
+    if args.which == "shot":
+        return 0, ["n,shots"], (f"{n},{sv.a(n)}" for n in range(pi.width()))
+    traj = dds.trajectory_of(pi, sv, params)
+    sign = -1 if args.negate else 1
+    header = ",".join(("n", *(f"y{j}" for j in range(args.p)), "mean_numerator", "b_n"))
+    b = pi.diffs + (0,) * (len(traj) - pi.width())  # b_n = 0 past the support
+    rows = (
+        ",".join(map(str, (n, *(sign * v for v in y.entries), sign * y.mean_numerator(), b[n])))
+        for n, y in enumerate(traj)
+    )
+    return 0, [header], rows
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.run(args, _work_limit())
+        code, *blocks = args.run(args, _work_limit())
+        with _open_out(args.out) as out:
+            for block in blocks:
+                lines = iter(block)
+                while chunk := list(itertools.islice(lines, 4096)):  # lines per write
+                    out.write("\n".join(chunk) + "\n")
+        return code
     except InvalidParameter as exc:
         print(f"kspm: {exc}", file=sys.stderr)
         return 2

@@ -52,6 +52,8 @@ class ShotVector:
 
     def a(self, i: int) -> int:
         """Count at index i, honoring the boundary convention below 0."""
+        if type(i) is not int:
+            raise InvalidParameter(f"index must be an int, got {i!r}")
         if i >= 0:
             return self.counts[i] if i < len(self.counts) else 0
         if i == -self.params.p:
@@ -144,6 +146,8 @@ def reconstruct_b(a_nm_p: int, a_n: int, params: Params) -> set[int]:
     single value in 0..p, except when the residue is 0, where both 0 and
     p remain possible.
     """
+    if type(a_nm_p) is not int or type(a_n) is not int:
+        raise InvalidParameter(f"counts must be ints, got {a_nm_p!r} and {a_n!r}")
     p = params.p
     r = (a_nm_p - (p + 1) * a_n) % p
     return {0, p} if r == 0 else {r}
@@ -154,8 +158,8 @@ def x_step(x: XVector, b_n: int, params: Params) -> XVector:
     p = params.p
     if len(x.entries) != p + 1:
         raise InvalidParameter(f"window must have p+1 = {p + 1} entries")
-    if not 0 <= b_n <= p:
-        raise InvalidParameter(f"b must be in 0..{p}, got {b_n}")
+    if type(b_n) is not int or not 0 <= b_n <= p:
+        raise InvalidParameter(f"b must be an int in 0..{p}, got {b_n!r}")
     num = -x.entries[0] + (p + 1) * x.entries[-1] + b_n
     if num % p:
         raise NonIntegral(f"({x.entries[0]}, {x.entries[-1]}, b={b_n}) leaves Z")
@@ -167,8 +171,8 @@ def avg_step(y: AvgVector, b_n: int, params: Params) -> AvgVector:
     p = params.p
     if len(y.entries) != p:
         raise InvalidParameter(f"state must have p = {p} entries")
-    if not 0 <= b_n <= p:
-        raise InvalidParameter(f"b must be in 0..{p}, got {b_n}")
+    if type(b_n) is not int or not 0 <= b_n <= p:
+        raise InvalidParameter(f"b must be an int in 0..{p}, got {b_n!r}")
     num = sum(y.entries) + b_n
     if num % p:
         raise NonIntegral(f"sum {sum(y.entries)} with b={b_n} leaves Z")

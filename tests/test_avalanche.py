@@ -254,6 +254,8 @@ class TestScanCsv:
             '{"k":1,"fired":[1.5]}',
             '{"k":1,"fired":[true]}',
             '{"k":1,"fired":[-1]}',
+            '{"k":1,"fired":[3,3,1]}',
+            '{"k":1,"fired":[0,0]}',
             '{"k":1,"fired":"01"}',
             '{"k":1,"fired":5}',
             '{"k":1}',

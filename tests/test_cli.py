@@ -444,6 +444,57 @@ class TestLibraryParity:
             assert int(row[4]) == traj[n].mean_numerator()
 
 
+class TestCsvBytes:
+    """CLI csv against rows that the standard `csv` module writes from library values."""
+
+    @staticmethod
+    def table(header, rows):
+        import csv
+        import io
+
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+        return buf.getvalue()
+
+    @pytest.mark.parametrize("p", [1, 2, 4])
+    @pytest.mark.parametrize("n", [1, 24, 2000])
+    def test_matches_csv_writer(self, capsys, p, n):
+        from kspm import Params, dds
+
+        params = Params(p)
+        pi, sv = dds.pile(n, params)
+        heights = pi.heights().heights
+        traj = dds.trajectory_of(pi, sv, params)
+        b = [pi.diffs[i] if i < pi.width() else 0 for i in range(len(traj))]
+        diffs_header = ("n", *(f"y{j}" for j in range(p)), "mean_numerator", "b_n")
+        expected = {
+            ("fixpoint", "--format", "csv"): self.table(
+                ("n", "b_n", "h_n", "a_n"),
+                [(i, pi.diffs[i], heights[i], sv.a(i)) for i in range(pi.width())],
+            ),
+            ("figure-data", "--which", "heights"): self.table(("n", "height"), enumerate(heights)),
+            ("figure-data", "--which", "shot"): self.table(
+                ("n", "shots"), [(i, sv.a(i)) for i in range(pi.width())]
+            ),
+            ("figure-data", "--which", "diffs"): self.table(
+                diffs_header,
+                [(i, *y.entries, y.mean_numerator(), b[i]) for i, y in enumerate(traj)],
+            ),
+            ("figure-data", "--which", "diffs", "--negate"): self.table(
+                diffs_header,
+                [(i, *(-v for v in y.entries), -y.mean_numerator(), b[i])
+                 for i, y in enumerate(traj)],
+            ),
+        }
+        for (command, *rest), text in expected.items():
+            assert run(capsys, command, "--p", str(p), "--n", str(n), *rest) == (0, text, "")
+        # negative values reach the output: Y_0 = (a_0 - N) at p = 1, (-N, ..., a_0) above
+        diffs = ("figure-data", "--which", "diffs")
+        assert ",-" in expected[diffs] + expected[(*diffs, "--negate")]
+
+
 class TestEntryPoint:
     def test_installed_script(self):
         proc = subprocess.run(

@@ -175,6 +175,34 @@ class TestAvgStep:
         assert avg_step(x_to_avg(x), b, params) == x_to_avg(x_step(x, b, params))
 
 
+_P2 = Params(2)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: avg_step(AvgVector((0, 0)), 2.0, _P2),
+        lambda: avg_step(AvgVector((0, 0)), True, _P2),
+        lambda: x_step(XVector((0, 0, 0)), 2.0, _P2),
+        lambda: x_step(XVector((0, 0, 0)), True, _P2),
+        lambda: reconstruct_b(1.5, 2, _P2),
+        lambda: reconstruct_b(2, 1.5, _P2),
+        lambda: reconstruct_b(True, 0, _P2),
+        lambda: shot_vector(24, _P2).a(1.5),
+        lambda: shot_vector(24, _P2).a(-1.5),
+        lambda: shot_vector(24, _P2).a(True),
+    ],
+    ids=[
+        "avg_step-float", "avg_step-bool", "x_step-float", "x_step-bool", "reconstruct_b-float-a",
+        "reconstruct_b-float-b", "reconstruct_b-bool", "a-float", "a-negative-float", "a-bool",
+    ],
+)
+def test_exact_systems_reject_non_int(call):
+    """The integer systems never coerce: floats and bools raise, not round or pass."""
+    with pytest.raises(InvalidParameter):
+        call()
+
+
 class TestAvgTrajectory:
     def test_y0_of_pile24(self):
         traj = avg_trajectory(24, Params(2))

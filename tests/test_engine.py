@@ -28,7 +28,7 @@ def pushed(b0, p, e):
 @pytest.mark.parametrize("p", range(1, 7))
 @pytest.mark.parametrize("n", [4096, 16383, 16384, 16385, 65537])
 def test_warm_start_matches_cold_relax(p, n):
-    assert _engine.pile_with_shots(n, p, LIMIT) == _engine.relax([n], n, p, LIMIT)
+    assert _engine.pile_with_shots(n, p, LIMIT) == _engine.relax(n, p, LIMIT)
 
 
 def test_budget_counts_the_shot_vector():
@@ -44,7 +44,7 @@ def test_budget_counts_the_shot_vector():
 
 def test_overshooting_estimate_falls_back(monkeypatch):
     n, p = 16384, 2
-    cold = _engine.relax([n], n, p, LIMIT)
+    cold = _engine.relax(n, p, LIMIT)
     twice = 2 * np.array(cold[1], dtype=np.int64)
     monkeypatch.setattr(_engine, "_estimate", lambda shots, sub, grains, p: twice)
     assert _engine.pile_with_shots(n, p, LIMIT) == cold
