@@ -107,14 +107,14 @@ def trim(b: list[int]) -> None:
         b.pop()
 
 
-def support_cap(extra: int, grains: int, p: int) -> int:
+def support_cap(grains: int, p: int) -> int:
     """Upper bound for how far a pile of `grains` can spread.
 
     A stable pile with no plateau longer than p+1 has width below
     (p+1)*sqrt(N) + p + 1, and the rightmost grain position only ever
     grows, so transient configurations fit too.
     """
-    return extra + (p + 1) * (math.isqrt(grains) + 1) + 2 * p + 4
+    return (p + 1) * (math.isqrt(grains) + 1) + 2 * p + 5
 
 
 def leftmost(
@@ -355,7 +355,7 @@ def relax(
     mean that bound is wrong, from a start vector that s overshot.
     """
     pp1 = p + 1
-    cap = support_cap(1, grains, p)
+    cap = support_cap(grains, p)
     arr = np.zeros(cap, dtype=np.int64)
     arr[0] = grains
     shots = np.zeros(cap, dtype=np.int64)
@@ -469,7 +469,7 @@ def pile_with_shots(grains: int, p: int, limit: int) -> tuple[list[int], list[in
     accept, a spill or an exhausted budget sends it back to the bare pile.
     """
     cutoff = _RELAX_CUTOFF // 4 if p == 1 else _RELAX_CUTOFF
-    if grains < cutoff or support_cap(1, grains, p) > _RELAX_MAX_CELLS:
+    if grains < cutoff or support_cap(grains, p) > _RELAX_MAX_CELLS:
         b = [grains] if grains else []
         shots: list[int] = []
         total = leftmost(b, p, limit, int(grains > p), shots=shots)

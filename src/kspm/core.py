@@ -165,8 +165,7 @@ class Configuration:
         return len(self.diffs)
 
     def is_stable(self) -> bool:
-        p = self.params.p
-        return all(v <= p for v in self.diffs)
+        return max(self.diffs, default=0) <= self.params.p
 
     def enabled_columns(self) -> list[int]:
         p = self.params.p

@@ -1,6 +1,7 @@
 """Wave matchers, plateau and support verifiers."""
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -130,6 +131,39 @@ class TestMatchers:
             decompose_suffix(c, n)
         with pytest.raises(InvalidParameter):
             matches_theorem1_at(c, n)
+
+    @pytest.mark.parametrize("p", [40, 92, 124, 300])  # chr(40), chr(92), chr(124): ( \ |
+    def test_large_p_against_brute_force(self, p):
+        """Waves whose code points need regex escaping or lie above 255."""
+        rng = random.Random(p)
+        wave = list(range(p, 0, -1))
+        piles = [wave[:-1] + [257] + wave] if p > 256 else []  # a byte would read 257 as 1
+        for _ in range(5):
+            # noise, then blocks of zeros and waves; a lone zero and the loose
+            # form's limit of p+1 zeros are the edges, and noise may cut in
+            diffs = [rng.randint(0, p) for _ in range(rng.randint(0, 2))]
+            for _ in range(rng.randint(1, 3)):
+                diffs += [0] * rng.choice([0, 1, 1, p + 1, p + 2, rng.randint(0, p + 3)])
+                diffs += wave * rng.randint(1, 2)
+            if rng.randrange(3) == 0:
+                diffs.insert(rng.randint(0, len(diffs)), rng.randint(0, p))
+            piles.append(diffs)
+        for diffs in piles:
+            c = cfg(diffs, p)
+            assert match_theorem1(c) == reference.brute_match_index(c.diffs, p, tight=False)
+            assert match_theorem2(c) == reference.brute_match_index(c.diffs, p, tight=True)
+            for n in range(c.width() + 2):
+                assert matches_theorem1_at(c, n) == reference.suffix_matches_loose(
+                    list(c.diffs[n:]), p
+                )
+
+    def test_p_past_the_code_point_range_rejected(self):
+        c = Configuration((1,), Params(0x110000))
+        for matcher in (match_theorem1, match_theorem2, wave_report):
+            with pytest.raises(InvalidParameter):
+                matcher(c)
+        with pytest.raises(InvalidParameter):
+            matches_theorem1_at(c, 0)
 
 
 class TestWaveReport:

@@ -394,7 +394,7 @@ class TestOutputFile:
         from kspm.errors import Inconsistent
 
         # above the plain-loop cutoff, with room for far too few columns
-        monkeypatch.setattr(_engine, "support_cap", lambda extra, grains, p: 16)
+        monkeypatch.setattr(_engine, "support_cap", lambda grains, p: 16)
         with pytest.raises(Inconsistent):
             fixed_point(5000, Params(2))
         code, out, err = run(capsys, "fixpoint", "--p", "2", "--n", "5000")
