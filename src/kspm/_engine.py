@@ -11,14 +11,14 @@ column i (legal iff b[i] > p) is
 
 which conserves the grain count sum((i+1) * b[i]).
 
-The strategy loops below track the number of currently enabled columns
-exactly (each firing touches three cells, so the count is maintained in
-O(1)), which lets them terminate without a final full-width scan.  The
-leftmost loop takes the initial count from its caller, who knows it
-without a scan (a single pile, a grain dropped on a stable pile), and
-additionally exploits locality: after firing column i the only column
-below i that can have become enabled is i - 1, so the scan cursor backs
-up by at most one step per firing.
+Each firing touches three cells, so the strategy loops keep track of
+the enabled columns in O(1) per firing and stop without a final
+full-width scan.  `leftmost` counts them, taking the initial count from
+its caller, who knows it without a scan (a single pile, a grain dropped
+on a stable pile), and exploits locality: after firing column i the only
+column below i that can have become enabled is i - 1, so the scan cursor
+backs up by at most one step per firing.  `worklist` (rightmost, or
+seeded random) keeps them in a list and fires one slot of it.
 
 `avalanche` is a second leftmost loop, kept apart on purpose: the grain
 scan calls it once per grain and reads none of `leftmost`'s shots, optional
@@ -243,39 +243,40 @@ def tail(b: list[int], p: int, top: int, last: int) -> list[int]:
     return fired
 
 
-def rightmost(b: list[int], p: int, limit: int) -> int:
-    """Fire the largest enabled column until stable.  Returns total firings."""
+def worklist(b: list[int], p: int, limit: int, seed: int | None = None) -> int:
+    """Fire the largest enabled column, or a uniformly drawn one when seeded,
+    until stable.  Returns total firings.
+
+    Without a seed `enabled` stays ascending, so its last slot holds the
+    largest enabled column: i was the maximum, so a newly enabled i - 1
+    exceeds every other entry.
+    """
+    rnd = None if seed is None else random.Random(seed).random
     pp1 = p + 1
     m = len(b)
-    enabled = 0
-    for v in b:
-        if v > p:
-            enabled += 1
+    enabled = [i for i, v in enumerate(b) if v > p]
     total = 0
-    pos = m - 1
     while enabled:
-        v = b[pos]
-        while v <= p:
-            pos -= 1
-            v = b[pos]
-        i = pos
+        n = len(enabled)
+        j = int(rnd() * n) if rnd else n - 1
+        if j == n:  # guard against float rounding
+            j -= 1
+        i = enabled[j]
         total += 1
         if total > limit:
             raise WorkLimitExceeded(f"firing budget {limit} exceeded")
-        nv = v - pp1
+        nv = b[i] - pp1
         b[i] = nv
-        if nv <= p:
-            enabled -= 1
+        ov = b[i - 1] if i else 0
         if i:
-            j = i - 1
-            ov = b[j]
-            if ov > p:
-                b[j] = ov + p  # was already enabled, stays enabled
-            elif ov:
-                b[j] = ov + p
-                enabled += 1
-            else:
-                b[j] = p
+            b[i - 1] = ov + p
+        if 0 < ov <= p:  # i - 1 takes slot j; i, if still enabled, goes last
+            enabled[j] = i - 1
+            if nv > p:
+                enabled.append(i)
+        elif nv <= p:  # swap-remove slot j
+            enabled[j] = enabled[-1]
+            enabled.pop()
         ip = i + p
         if ip >= m:
             b.extend([0] * (ip + 1 - m))
@@ -283,59 +284,6 @@ def rightmost(b: list[int], p: int, limit: int) -> int:
         ov = b[ip]
         b[ip] = ov + 1
         if ov == p:
-            # columns right of i were stable, so ov <= p
-            enabled += 1
-        pos = ip  # every enabled column is now <= i + p
-    trim(b)
-    return total
-
-
-def randomized(b: list[int], p: int, limit: int, seed: int) -> int:
-    """Fire uniformly among enabled columns (seeded).  Returns total firings."""
-    rng = random.Random(seed)
-    rnd = rng.random
-    pp1 = p + 1
-    m = len(b)
-    enabled = [i for i, v in enumerate(b) if v > p]
-    where = [-1] * m
-    for idx, col in enumerate(enabled):
-        where[col] = idx
-    total = 0
-    while enabled:
-        n = len(enabled)
-        j = int(rnd() * n)
-        if j == n:  # guard against float rounding
-            j = n - 1
-        i = enabled[j]
-        total += 1
-        if total > limit:
-            raise WorkLimitExceeded(f"firing budget {limit} exceeded")
-        nv = b[i] - pp1
-        b[i] = nv
-        if nv <= p:
-            w = where[i]
-            last = enabled[-1]
-            enabled[w] = last
-            where[last] = w
-            enabled.pop()
-            where[i] = -1
-        if i:
-            k = i - 1
-            ov = b[k]
-            b[k] = ov + p if ov else p
-            if ov and ov <= p:
-                where[k] = len(enabled)
-                enabled.append(k)
-        ip = i + p
-        if ip >= m:
-            grow = ip + 1 - m
-            b.extend([0] * grow)
-            where.extend([-1] * grow)
-            m = ip + 1
-        ov = b[ip]
-        b[ip] = ov + 1
-        if ov == p:
-            where[ip] = len(enabled)
             enabled.append(ip)
     trim(b)
     return total

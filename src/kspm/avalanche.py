@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from typing import Callable, IO, Iterator, Optional, Sequence
 
 from . import _engine
-from .core import Configuration, DEFAULT_WORK_LIMIT, Params, check_grains
+from .core import Configuration, DEFAULT_WORK_LIMIT, Params, check_grains, check_limit
 from .errors import InvalidParameter, NotStable, WorkLimitExceeded
 
 
@@ -107,6 +107,7 @@ def run_avalanche(
         raise InvalidParameter(f"k must be an int >= 1, got {k!r}")
     if not c.is_stable():
         raise NotStable("avalanches start from a stable configuration")
+    check_limit(work_limit)
     p = c.params.p
     b = list(add_grain(c).diffs)
     head, last = _engine.avalanche(b, p) if b[0] > p else ([], -1)
@@ -159,6 +160,7 @@ def steps(
     firing budget covers the whole scan and is charged after each avalanche.
     """
     check_grains(grains, 1, p)
+    check_limit(work_limit)
     b = [0]
     budget = work_limit
     for k in range(1, grains + 1):

@@ -59,6 +59,12 @@ def check_grains(grains: int, minimum: int = 0, p: int | None = None) -> None:
         )
 
 
+def check_limit(work_limit: int) -> None:
+    """Reject a firing budget that is not an int >= 1 (InvalidParameter)."""
+    if type(work_limit) is not int or work_limit < 1:
+        raise InvalidParameter(f"firing budget must be an int >= 1, got {work_limit!r}")
+
+
 def check_index(i: int, what: str) -> None:
     """Reject an index that is not an int (InvalidParameter) or is negative (IndexOutOfRange)."""
     if type(i) is not int:
@@ -239,14 +245,15 @@ def stabilize(
     strategy only selects the firing order actually executed.
     """
     check_grains(c.grain_count(), p=c.params.p)
+    check_limit(work_limit)
     b = list(c.diffs)
     p = c.params.p
     if strategy == LEFTMOST:
         total = _engine.leftmost(b, p, work_limit, len(c.enabled_columns()))
     elif strategy == RIGHTMOST:
-        total = _engine.rightmost(b, p, work_limit)
+        total = _engine.worklist(b, p, work_limit)
     elif isinstance(strategy, RandomStrategy):
-        total = _engine.randomized(b, p, work_limit, strategy.seed)
+        total = _engine.worklist(b, p, work_limit, strategy.seed)
     else:
         raise InvalidParameter(f"unknown strategy {strategy!r}")
     return Configuration._trusted(tuple(b), c.params), total
@@ -257,5 +264,6 @@ def fixed_point(
 ) -> Configuration:
     """Fixed point of `grains` stacked on column 0."""
     check_grains(grains, p=params.p)
+    check_limit(work_limit)
     b, _, _ = _engine.pile_with_shots(grains, params.p, work_limit)
     return Configuration._trusted(tuple(b), params)

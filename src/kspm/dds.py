@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _engine
-from .core import Configuration, DEFAULT_WORK_LIMIT, Params, check_grains
+from .core import Configuration, DEFAULT_WORK_LIMIT, Params, check_grains, check_limit
 from .errors import (
     Inconsistent,
     IndexOutOfRange,
@@ -125,6 +125,7 @@ def pile(
 ) -> tuple[Configuration, ShotVector]:
     """Fixed point and shot vector of `grains` on column 0, from one run."""
     check_grains(grains, p=params.p)
+    check_limit(work_limit)
     b, shots, _ = _engine.pile_with_shots(grains, params.p, work_limit)
     return (
         Configuration._trusted(tuple(b), params),

@@ -20,6 +20,7 @@ from .core import (
     Params,
     RIGHTMOST,
     check_grains,
+    check_limit,
     fixed_point,
     stabilize,
 )
@@ -53,6 +54,7 @@ def check_confluence(
     name = f"confluence p={p}"
     Params(p)  # rejects p < 1, on which the engines never stop
     check_grains(n_max, 1, p)
+    check_limit(work_limit)
     if type(seeds) is not int or seeds < 0 or type(base_seed) is not int:
         raise InvalidParameter(
             f"seeds must be an int >= 0 and base_seed an int, got {seeds!r} and {base_seed!r}")
@@ -61,8 +63,7 @@ def check_confluence(
         ref_total = _engine.leftmost(ref, p, work_limit, int(grains > p))
         for seed in [None, *range(base_seed, base_seed + seeds)]:  # None: rightmost
             alt = [grains]
-            alt_total = (_engine.rightmost(alt, p, work_limit) if seed is None
-                         else _engine.randomized(alt, p, work_limit, seed))
+            alt_total = _engine.worklist(alt, p, work_limit, seed)
             if alt != ref or alt_total != ref_total:
                 where = "rightmost" if seed is None else f"random seed {seed}"
                 case = {"strategy": "rightmost"} if seed is None else {
@@ -80,6 +81,7 @@ def check_plateau(p: int, n_max: int, work_limit: int = DEFAULT_WORK_LIMIT) -> C
     name = f"plateau p={p}"
     Params(p)  # rejects p < 1, on which the engine never stops
     check_grains(n_max, 1, p)
+    check_limit(work_limit)
     bound = p + 1
     worst = 1
     for grains in range(1, n_max + 1):

@@ -428,3 +428,23 @@ class TestNormalization:
         at = data.draw(st.integers(min_value=0, max_value=len(diffs)))
         with pytest.raises(InvalidParameter):
             Configuration.of(diffs[:at] + [bad] + diffs[at:], Params(2))
+
+
+LIMITED_ENTRIES = {
+    "stabilize": lambda w: stabilize(cfg([24], 2), work_limit=w),
+    "fixed_point": lambda w: fixed_point(24, Params(2), w),
+    "pile": lambda w: pile(24, Params(2), w),
+    "steps": lambda w: list(steps(30, 2, w)),
+    "run_avalanche": lambda w: run_avalanche(fixed_point(5, Params(2)), 6, w),
+    "incremental_scan": lambda w: incremental_scan(30, Params(2), work_limit=w),
+    "check_confluence": lambda w: verify.check_confluence(2, 5, 1, 0, w),
+    "check_plateau": lambda w: verify.check_plateau(2, 5, w),
+}
+
+
+@pytest.mark.parametrize("limit", [None, "5", 1.5, True, 0, -5])
+@pytest.mark.parametrize("entry", LIMITED_ENTRIES)
+def test_work_limit_must_be_an_int_at_least_1(entry, limit):
+    # the rule KSPM_WORK_LIMIT follows; a bad budget is not an exceeded one
+    with pytest.raises(InvalidParameter):
+        LIMITED_ENTRIES[entry](limit)

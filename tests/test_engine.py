@@ -1,6 +1,8 @@
-"""The warm-started relaxation against the cold one, its certificate, and the avalanche kernel."""
+"""The warm-started relaxation against the cold one, its certificate, the avalanche
+kernel, and the firing order of the worklist loop."""
 
 import functools
+import itertools
 
 import numpy as np
 import pytest
@@ -10,6 +12,8 @@ from kspm import Params, fixed_point
 from kspm import _engine
 from kspm.avalanche import steps
 from kspm.errors import WorkLimitExceeded
+
+import reference
 
 LIMIT = 10**12
 
@@ -180,3 +184,50 @@ class TestAvalancheKernel:
             assert b == ref, k
             assert head + _engine.tail(b, p, max(head, default=-1), last) == fired
             assert len(head) + last - max(head, default=-1) == total
+
+
+SMALL_PILES = st.integers(min_value=1, max_value=4).flatmap(
+    lambda p: st.tuples(st.just(p), st.lists(st.integers(0, 2 * p + 2), max_size=10))
+)
+
+
+def worklist_prefixes(diffs, p, seed):
+    """The piles after 0, 1, ..., all firings of `worklist`: a run stopped by its
+    budget of k firings leaves the pile as it was after k firings."""
+    for k in itertools.count():
+        b = list(diffs)
+        try:
+            _engine.worklist(b, p, k, seed)
+        except WorkLimitExceeded:
+            yield reference.trim(b)
+        else:
+            yield b
+            return
+
+
+class TestWorklistOrder:
+    @given(SMALL_PILES)
+    def test_rightmost_fires_the_largest_enabled_column(self, case):
+        p, diffs = case
+        piles = worklist_prefixes(diffs, p, None)
+        ref = reference.HeightPile(reference.heights_from_diffs(diffs), p)
+        assert next(piles) == ref.diffs()
+        for b in piles:
+            ref.fire(max(ref.enabled()))
+            assert b == ref.diffs()
+        assert not ref.enabled()
+
+    @pytest.mark.parametrize("seed", range(4))
+    @given(case=SMALL_PILES)
+    def test_random_fires_one_enabled_column_at_a_time(self, seed, case):
+        p, diffs = case
+        piles = list(worklist_prefixes(diffs, p, seed))
+        for before, after in zip(piles, piles[1:]):
+            heights = reference.heights_from_diffs(before)
+            moves = []
+            for i in reference.HeightPile(heights, p).enabled():
+                pile = reference.HeightPile(heights, p)
+                pile.fire(i)
+                moves.append(pile.diffs())
+            assert after in moves
+        assert not reference.HeightPile(reference.heights_from_diffs(piles[-1]), p).enabled()
