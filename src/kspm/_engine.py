@@ -439,19 +439,21 @@ def pile_with_shots(grains: int, p: int, limit: int) -> tuple[list[int], list[in
 def max_plateau_over_trajectory(grains: int, p: int, limit: int) -> int:
     """Longest plateau over every configuration of the leftmost run from a pile.
 
-    A plateau of length L (L >= 2 equal-height non-empty columns) is a run
-    of L-1 zeros in the height differences strictly inside the support, so
-    the check only has to look at cells that just became zero or at tail
-    zeros that the support just grew over.  Returns the plateau length (1
-    if no plateau ever appears).
+    A plateau of L equal non-empty columns is a run of L - 1 zeros in the
+    height differences inside the support; 1 if none ever appears.  A
+    firing at i leaves b[i-1] >= p (when i > 0) and b[i+p] >= 1, so the
+    only zero run it can create or extend starts at i and ends before i + p.
+    b[-1] only loses grains when it fires, and that firing extends b past
+    it, so the support end is always len(b) - 1: growing b from m to
+    i + p + 1 cells adds a run of exactly i + p - m zeros.  Runs only shrink
+    in between, so every zero run is at most p long: the plateau bound p+1.
     """
     b = [grains] if grains else []
     pp1 = p + 1
     m = len(b)
     enabled = 1 if grains > p else 0
     pos = 0
-    last = 0 if grains else -1  # index of last nonzero cell
-    max_run = 0  # longest qualifying zero run seen so far
+    longest = 0  # longest zero run seen so far
     total = 0
     while enabled:
         v = b[pos]
@@ -477,35 +479,18 @@ def max_plateau_over_trajectory(grains: int, p: int, limit: int) -> int:
                 b[j] = p
         ip = i + p
         if ip >= m:
+            if ip - m > longest:
+                longest = ip - m
             b.extend([0] * (ip + 1 - m))
             m = ip + 1
         ov = b[ip]
         b[ip] = ov + 1
         if ov == p:
             enabled += 1
-        # the support end never retreats: zeroing b[i] at i == last always
-        # comes with b[i + p] turning nonzero
-        prev_last = last
-        if ip > last:
-            last = ip
-        if not nv and i < last:
-            lo = i
-            while lo and not b[lo - 1]:
-                lo -= 1
-            hi = i
-            while not b[hi + 1]:
+        if not nv:
+            hi = i + 1
+            while not b[hi]:
                 hi += 1
-            run = hi - lo + 1
-            if run > max_run:
-                max_run = run
-        if ip > prev_last + 1:
-            # cells between the old and new support end turned into an
-            # in-support zero run
-            hi = ip - 1
-            lo = hi
-            while lo and not b[lo - 1]:
-                lo -= 1
-            run = hi - lo + 1
-            if run > max_run:
-                max_run = run
-    return max_run + 1 if max_run else 1
+            if hi - i > longest:
+                longest = hi - i
+    return longest + 1

@@ -28,8 +28,9 @@ adjacent to the tail merges with it, so nothing is lost on that side.
 
 Plateaus (runs of equal-height non-empty columns) and the support width
 give the complementary coarse checks: no reachable pile has a plateau
-longer than p+1, and the fixed-point width sits strictly between
-sqrt(N)/p - 1 and (p+1)*sqrt(N) + p + 1.
+longer than p+1 (the proof is in `_engine.max_plateau_over_trajectory`),
+and the fixed-point width sits strictly between sqrt(N)/p - 1 and
+(p+1)*sqrt(N) + p + 1.
 """
 
 from __future__ import annotations

@@ -14,13 +14,13 @@ maximum of L'(p,k) over k <= N.
 `steps` is the one grain-by-grain loop, on the `_engine.avalanche` kernel,
 which fires the dense tail (max(head), last] in one step.  `ROWS`, one row
 formatter per format, works on a step (k, head, last, b, p); a full firing
-list is a head with an empty tail (last = max(fired)), and `scan_rows` is
-gone.  `incremental_scan` streams one record per grain to an observer and
-keeps only the current pile in memory, so scans up to millions of grains
-need memory proportional to the support width, not to N.  Observer callbacks
-run on the scan's own thread of control and must not assume reentrancy; the
-scan itself is inherently sequential in k, but distinct scans are
-independent and can run concurrently.
+list is a head with an empty tail (last = max(fired)).  `incremental_scan`
+streams one record per grain to an observer and keeps only the current pile
+in memory, so scans up to millions of grains need memory proportional to
+the support width, not to N.  Observer callbacks run on the scan's own
+thread of control and must not assume reentrancy; the scan itself is
+inherently sequential in k, but distinct scans are independent and can run
+concurrently.
 """
 
 from __future__ import annotations

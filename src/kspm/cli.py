@@ -31,7 +31,7 @@ import tempfile
 from typing import IO, Iterator
 
 from . import avalanche, dds, verify
-from .core import DEFAULT_WORK_LIMIT, Params, fixed_point
+from .core import DEFAULT_WORK_LIMIT, Params, check_limit, fixed_point
 from .errors import InvalidParameter, KSPMError
 
 FORMATS = ("text", "json", "csv")
@@ -56,8 +56,7 @@ def _work_limit() -> int:
         return DEFAULT_WORK_LIMIT
     try:
         value = int(raw)
-        if value < 1:
-            raise ValueError
+        check_limit(value)
     except ValueError:
         raise InvalidParameter(f"KSPM_WORK_LIMIT must be a positive integer, got {raw!r}")
     return value

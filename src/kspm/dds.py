@@ -27,6 +27,7 @@ step matrix).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -202,8 +203,11 @@ def avg_trajectory(
 
 def trajectory_of(pi: Configuration, sv: ShotVector, params: Params) -> list[AvgVector]:
     """The averaging trajectory of `avg_trajectory` from an existing
-    fixed point pi(N), N >= 1, and its shot vector."""
+    fixed point pi(N), N >= 1, and its shot vector; InvalidParameter unless
+    sv has these params and rebuilds pi."""
     check_grains(sv.grains, 1)
+    if sv.params != params or sv.fixed_point() != pi:
+        raise InvalidParameter("shot vector does not match the fixed point and params")
     diffs = pi.diffs
     stop = len(diffs) + params.p
     y = sv.avg_vector(0)
@@ -250,6 +254,8 @@ def spectrum(params: Params, tolerance: float = 1e-9) -> SpectrumReport:
     tolerances.  Roots come from the companion-matrix eigenproblem, which
     is robust at the degrees used here.
     """
+    if type(tolerance) not in (int, float) or not 0 <= tolerance < math.inf:
+        raise InvalidParameter(f"tolerance must be a finite number >= 0, got {tolerance!r}")
     p = params.p
     if p == 1:
         return SpectrumReport(1, (), 0.0, True, (0.0 + 0.0j,), 0.0)

@@ -26,7 +26,7 @@ from .core import (
 )
 from .errors import InvalidParameter
 
-_TOLERANCE = 1e-9  # root separation and modulus-bound slack of check_spectrum
+_TOLERANCE = 1e-9  # modulus-bound slack of check_spectrum (roots: spectrum's default)
 _DM_TOLERANCE = 1e-7  # centered-step eigenvalue error of check_spectrum
 
 
@@ -125,7 +125,7 @@ def check_spectrum(p_max: int) -> CheckResult:
         raise InvalidParameter(f"p_max must be an int >= 2, got {p_max!r}")
     worst_dm = 0.0
     for p in range(2, p_max + 1):
-        report = dds.spectrum(Params(p), _TOLERANCE)
+        report = dds.spectrum(Params(p))
         margin = report.max_modulus - report.modulus_bound()
         worst_dm = max(worst_dm, report.dm_max_error)
         if not report.distinct:

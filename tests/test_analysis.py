@@ -20,8 +20,8 @@ from kspm import (
     support_report,
     wave_report,
 )
-from kspm._engine import max_plateau_over_trajectory
-from kspm.errors import IndexOutOfRange, InvalidParameter, NotStable
+from kspm._engine import DEFAULT_WORK_LIMIT, max_plateau_over_trajectory, pile_with_shots
+from kspm.errors import IndexOutOfRange, InvalidParameter, NotStable, WorkLimitExceeded
 from kspm.verify import rebuild_suffix
 
 import reference
@@ -226,7 +226,7 @@ class TestMaxPlateau:
     def test_empty(self):
         assert max_plateau(HeightProfile(())) == 1
 
-    @pytest.mark.parametrize("p,n_max", [(2, 60), (3, 40)])
+    @pytest.mark.parametrize("p,n_max", [(2, 60), (3, 40), (1, 100), (4, 120), (6, 120)])
     def test_trajectory_tracker_matches_stepwise_reference(self, p, n_max):
         """The engine's inline plateau tracking equals the naive maximum
         over every intermediate height profile."""
@@ -240,6 +240,14 @@ class TestMaxPlateau:
                 max_plateau(cfg(d, p).heights()) for d in states
             )
             assert max_plateau_over_trajectory(n, p, 10**10) == naive
+
+    @pytest.mark.parametrize("n,p", [(300, 2), (120, 4)])
+    def test_trajectory_tracker_budget(self, n, p):
+        """The tracker fires exactly the pile's firings against its budget."""
+        total = sum(pile_with_shots(n, p, DEFAULT_WORK_LIMIT)[1])
+        assert max_plateau_over_trajectory(n, p, total) <= p + 1
+        with pytest.raises(WorkLimitExceeded):
+            max_plateau_over_trajectory(n, p, total - 1)
 
 
 class TestSupportReport:

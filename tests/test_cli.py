@@ -403,9 +403,11 @@ class TestOutputFile:
         assert "support bound" in err
 
     def test_work_limit_validation(self, capsys, monkeypatch):
-        monkeypatch.setenv("KSPM_WORK_LIMIT", "zero")
-        code, _, err = run(capsys, "fixpoint", "--p", "2", "--n", "4")
-        assert code == 2
+        for raw in ("zero", "0", "-3", "1.5"):
+            monkeypatch.setenv("KSPM_WORK_LIMIT", raw)
+            code, _, err = run(capsys, "fixpoint", "--p", "2", "--n", "4")
+            assert code == 2
+            assert f"KSPM_WORK_LIMIT must be a positive integer, got {raw!r}" in err
 
 
 class TestDeterminism:

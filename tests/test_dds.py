@@ -15,9 +15,11 @@ from kspm import (
     first_constant_index,
     fixed_point,
     incremental_scan,
+    pile,
     reconstruct_b,
     shot_vector,
     spectrum,
+    trajectory_of,
     x_step,
     x_to_avg,
 )
@@ -255,6 +257,22 @@ class TestAvgTrajectory:
                 )
 
 
+    @pytest.mark.parametrize(
+        "pi_of,sv_of,params",
+        [
+            ((99, 2), (100, 2), 2),  # N differs between pi and sv
+            ((100, 3), (100, 2), 2),  # p differs between pi and sv
+            ((100, 2), (100, 2), 3),  # params differs from both
+        ],
+        ids=["grains", "p", "params"],
+    )
+    def test_mismatched_inputs_rejected(self, pi_of, sv_of, params):
+        pi = pile(pi_of[0], Params(pi_of[1]))[0]
+        sv = pile(sv_of[0], Params(sv_of[1]))[1]
+        with pytest.raises(InvalidParameter):
+            trajectory_of(pi, sv, Params(params))
+
+
 class TestFirstConstantIndex:
     def test_synthetic_constant_start(self):
         assert first_constant_index([AvgVector((3, 3, 3))]) == 0
@@ -303,3 +321,8 @@ class TestSpectrum:
         assert report.max_modulus <= (p - 1) / p + 1e-9
         assert report.dm_max_error <= 1e-7
         assert len(report.roots) == p - 1
+
+    @pytest.mark.parametrize("tolerance", ["x", True, -1.0, math.nan, math.inf])
+    def test_bad_tolerance_rejected(self, tolerance):
+        with pytest.raises(InvalidParameter):
+            spectrum(Params(4), tolerance)
