@@ -13,11 +13,10 @@ which conserves the grain count sum((i+1) * b[i]).
 
 Each firing touches three cells, so the strategy loops keep track of
 the enabled columns in O(1) per firing and stop without a final
-full-width scan.  `leftmost` counts them, taking the initial count from
-its caller, who knows it without a scan (a single pile, a grain dropped
-on a stable pile), and exploits locality: after firing column i the only
-column below i that can have become enabled is i - 1, so the scan cursor
-backs up by at most one step per firing.  `worklist` (rightmost, or
+full-width scan.  `leftmost` keeps their count, counting them once at
+the start, and exploits locality: after firing column i the only column
+below i that can have become enabled is i - 1, so the scan cursor backs
+up by at most one step per firing.  `worklist` (rightmost, or
 seeded random) keeps them in a list and fires one slot of it.
 
 `avalanche` is a second leftmost loop, kept apart on purpose: the grain
@@ -56,11 +55,12 @@ sink: column i sends p chips to i-1 (to the sink for i = 0) and one to
 i+p, and every in-degree is at most p+1.  By the least action principle
 the shot vector u is the least odometer w >= 0 with c + Dw stable, where
 (Dw)_i = p*w_{i+1} + w_{i-p} - (p+1)*w_i.  `pile_with_shots` therefore
-relaxes c + Ds from a guess s <= u, the rescaled shot vector of the pile
-with a quarter of the grains, and `certify` checks the resulting odometer
-w >= u with a burning pass in exact ints.  A rejected w, a spill or an
-exhausted budget falls back to the cold relaxation of the bare pile, so
-the result never depends on the guess; floats appear only in the guess.
+relaxes c + Ds from a guess s meant to sit below u: the shot vector of
+a quarter of the grains, rescaled, then smoothed by a (p+1)-minimum (the
+only floats).  `certify` checks the resulting odometer w >= u in exact
+ints with a burning pass, which rejects a guess that overshot.  A
+rejected w, a spill or an exhausted budget falls back to the cold
+relaxation of the bare pile, so the result never depends on the guess.
 
 int64 bound: with N <= 2**40 grains, p*u_i <= N (column i moves p grains
 past itself per firing and grains never move left).  The guess is below
@@ -95,10 +95,8 @@ _RELAX_CUTOFF = 4096
 # cheap in the plain loop, which grows storage to the actual width only.
 _RELAX_MAX_CELLS = 1 << 25
 
-# Warm start: pile_with_shots(N) starts from the rescaled shot vector of
-# N // _WARM_RATIO grains, shrunk by _WARM_FACTOR to stay below the truth.
+# Warm start: pile_with_shots(N) starts from the shot vector of N // _WARM_RATIO grains.
 _WARM_RATIO = 4
-_WARM_FACTOR = 0.99
 
 
 def trim(b: list[int]) -> None:
@@ -121,18 +119,17 @@ def leftmost(
     b: list[int],
     p: int,
     limit: int,
-    enabled: int,
     fired: list[int] | None = None,
     shots: list[int] | None = None,
 ) -> int:
     """Fire the smallest enabled column until stable.  Returns total firings.
 
-    `enabled` must be the number of columns with b[i] > p.  Fired columns
-    are appended to `fired` in firing order and counted per column in
-    `shots`, which grows to the width reached.
+    Fired columns are appended to `fired` in firing order and counted per
+    column in `shots`, which grows to the width reached.
     """
     pp1 = p + 1
     m = len(b)
+    enabled = sum(v > p for v in b)
     total = 0
     pos = 0
     append = fired.append if fired is not None else None
@@ -399,14 +396,13 @@ def _estimate(shots: list[int], sub: int, grains: int, p: int) -> np.ndarray:
     satisfies a_i(grains) ~ r * a_{i/sqrt(r)}(sub).  The rescaled profile
     is read off by linear interpolation, down to 0 one cell past its end.
     A minimum over p+1 cells flattens the oscillation near the origin that
-    interpolation would misplace, and a fixed factor below 1 keeps the
-    guess under the true vector.
+    interpolation would misplace.
     """
     r = grains / sub
     scale = math.sqrt(r)
     x = np.arange(int(len(shots) * scale) + 1) / scale
     est = r * np.interp(x, np.arange(len(shots) + 1), shots + [0])
-    return (_WARM_FACTOR * _sliding_min(est, p + 1)).astype(np.int64)
+    return _sliding_min(est, p + 1).astype(np.int64)
 
 
 def pile_with_shots(grains: int, p: int, limit: int) -> tuple[list[int], list[int], int]:
@@ -420,7 +416,7 @@ def pile_with_shots(grains: int, p: int, limit: int) -> tuple[list[int], list[in
     if grains < cutoff or support_cap(grains, p) > _RELAX_MAX_CELLS:
         b = [grains] if grains else []
         shots: list[int] = []
-        total = leftmost(b, p, limit, int(grains > p), shots=shots)
+        total = leftmost(b, p, limit, shots=shots)
         trim(shots)
         return b, shots, total
     sub = grains // _WARM_RATIO

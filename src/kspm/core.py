@@ -249,7 +249,7 @@ def stabilize(
     b = list(c.diffs)
     p = c.params.p
     if strategy == LEFTMOST:
-        total = _engine.leftmost(b, p, work_limit, len(c.enabled_columns()))
+        total = _engine.leftmost(b, p, work_limit)
     elif strategy == RIGHTMOST:
         total = _engine.worklist(b, p, work_limit)
     elif isinstance(strategy, RandomStrategy):

@@ -60,7 +60,7 @@ def check_confluence(
             f"seeds must be an int >= 0 and base_seed an int, got {seeds!r} and {base_seed!r}")
     for grains in range(1, n_max + 1):
         ref = [grains]
-        ref_total = _engine.leftmost(ref, p, work_limit, int(grains > p))
+        ref_total = _engine.leftmost(ref, p, work_limit)
         for seed in [None, *range(base_seed, base_seed + seeds)]:  # None: rightmost
             alt = [grains]
             alt_total = _engine.worklist(alt, p, work_limit, seed)

@@ -197,7 +197,7 @@ def test_criterion_11():
     for p in (1, 2, 3, 4):
         for n in range(1, 201):
             order: list[int] = []
-            _engine.leftmost([n], p, _engine.DEFAULT_WORK_LIMIT, int(n > p), order)
+            _engine.leftmost([n], p, _engine.DEFAULT_WORK_LIMIT, order)
             pile = reference.HeightPile([n], p)
             opt = [n]
             for i in order:

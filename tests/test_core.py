@@ -188,7 +188,7 @@ class TestStabilize:
         b = list(c.diffs)
         fired: list[int] = []
         shots: list[int] = []
-        total = leftmost(b, p, 10**10, len(enabled), fired, shots)
+        total = leftmost(b, p, 10**10, fired, shots)
         pile = reference.HeightPile(reference.heights_from_diffs(list(c.diffs)), p)
         order = []
         while pile.enabled():
@@ -245,7 +245,7 @@ class TestFixedPoint:
         n, p = 20000, 3
         b = [n]
         shots: list[int] = []
-        total = leftmost(b, p, 10**10, 1, shots=shots)
+        total = leftmost(b, p, 10**10, shots=shots)
         while shots and not shots[-1]:
             shots.pop()
         assert fixed_point(n, Params(p)).diffs == tuple(b)

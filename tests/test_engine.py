@@ -46,12 +46,38 @@ def test_budget_counts_the_shot_vector():
     assert _engine.pile_with_shots(n, p, total) == (b, shots, total)
 
 
-def test_overshooting_estimate_falls_back(monkeypatch):
+@pytest.mark.parametrize(
+    "overshoot",
+    [lambda u: 2 * u, lambda u: u + (np.arange(len(u)) == 0)],
+    ids=["twice", "one_more_at_0"],
+)
+def test_overshooting_estimate_falls_back(monkeypatch, overshoot):
     n, p = 16384, 2
     cold = _engine.relax(n, p, LIMIT)
-    twice = 2 * np.array(cold[1], dtype=np.int64)
-    monkeypatch.setattr(_engine, "_estimate", lambda shots, sub, grains, p: twice)
+    start = overshoot(np.array(cold[1], dtype=np.int64))
+    monkeypatch.setattr(_engine, "_estimate", lambda shots, sub, grains, p: start)
     assert _engine.pile_with_shots(n, p, LIMIT) == cold
+
+
+@pytest.mark.parametrize("p", range(1, 7))
+@pytest.mark.parametrize("n", [16385, 2**17 + 300])
+def test_warm_guess_is_certified_at_every_level(monkeypatch, p, n):
+    verdicts, cold = [], []
+    certify, relax = _engine.certify, _engine.relax
+
+    def record_certify(b0, p, w):
+        verdicts.append(certify(b0, p, w))
+        return verdicts[-1]
+
+    def record_relax(grains, p, limit, start=None):
+        if start is None:
+            cold.append(grains)
+        return relax(grains, p, limit, start)
+
+    monkeypatch.setattr(_engine, "certify", record_certify)
+    monkeypatch.setattr(_engine, "relax", record_relax)
+    _engine.pile_with_shots(n, p, LIMIT)
+    assert verdicts and None not in verdicts and not cold
 
 
 class TestCertify:
@@ -93,7 +119,7 @@ class TestCertify:
         p, b0, data = case
         b = list(b0)
         u: list[int] = []
-        _engine.leftmost(b, p, LIMIT, sum(v > p for v in b), shots=u)
+        _engine.leftmost(b, p, LIMIT, shots=u)
         _engine.trim(u)
         assert _engine.certify(b0, p, u) == b
         if u:
@@ -140,7 +166,7 @@ class TestAvalancheKernel:
         """Whether the kernel took the dense-tail step, after checking it."""
         ref = list(b)
         fired_ref: list[int] = []
-        total = _engine.leftmost(ref, p, LIMIT, 1, fired_ref)
+        total = _engine.leftmost(ref, p, LIMIT, fired_ref)
         head, last = _engine.avalanche(b, p)
         assert head + _engine.tail(b, p, max(head), last) == fired_ref
         assert b == ref
@@ -180,7 +206,7 @@ class TestAvalancheKernel:
             ref = ref or [0]
             ref[0] += 1
             fired: list[int] = []
-            total = _engine.leftmost(ref, p, LIMIT, int(ref[0] > p), fired)
+            total = _engine.leftmost(ref, p, LIMIT, fired)
             assert b == ref, k
             assert head + _engine.tail(b, p, max(head, default=-1), last) == fired
             assert len(head) + last - max(head, default=-1) == total
