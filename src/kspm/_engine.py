@@ -59,8 +59,9 @@ relaxes c + Ds from a guess s meant to sit below u: the shot vector of
 a quarter of the grains, rescaled, then smoothed by a (p+1)-minimum (the
 only floats).  `certify` checks the resulting odometer w >= u in exact
 ints with a burning pass, which rejects a guess that overshot.  A
-rejected w, a spill or an exhausted budget falls back to the cold
-relaxation of the bare pile, so the result never depends on the guess.
+rejected w or a spill falls back to the cold relaxation of the bare
+pile, so the result never depends on the guess.  Either way the decided
+total is the sum of u, so the firing budget is charged once, on it.
 
 int64 bound: with N <= 2**40 grains, p*u_i <= N (column i moves p grains
 past itself per firing and grains never move left).  The guess is below
@@ -286,54 +287,44 @@ def worklist(b: list[int], p: int, limit: int, seed: int | None = None) -> int:
     return total
 
 
-def relax(
-    grains: int, p: int, limit: int, start: np.ndarray | None = None
-) -> tuple[list[int], list[int], int]:
+def relax(grains: int, p: int, start: np.ndarray | None = None) -> tuple[list[int], list[int], int]:
     """Batched stabilization of `grains` on column 0: (final configuration, firings, total).
 
     Equivalent to any sequential strategy by confluence; used as the fast
     path for single-pile runs with many grains.  `start`, a non-negative
-    firing vector s, is applied in one step first: the loop then relaxes
-    the pile plus Ds and s is counted in the returned firings.  Only
-    columns above p fire, so entries that s drove negative stay put.  A
-    spill past `support_cap` raises Inconsistent: from a bare pile it would
-    mean that bound is wrong, from a start vector that s overshot.
+    firing vector s, is the first pass: the loop then relaxes the pile
+    plus Ds and s is counted in the returned firings.  Only columns above
+    p fire, so entries that s drove negative stay put.  A spill past
+    `support_cap` raises Inconsistent: from a bare pile it would mean that
+    bound is wrong, from a start vector that s overshot.  There is no
+    firing budget here: `pile_with_shots` charges the decided total.
     """
     pp1 = p + 1
     cap = support_cap(grains, p)
     arr = np.zeros(cap, dtype=np.int64)
     arr[0] = grains
     shots = np.zeros(cap, dtype=np.int64)
+    t = np.zeros(cap, dtype=np.int64)
     if start is not None:
         if len(start) > cap:
             raise Inconsistent("start vector spills past the support bound")
-        shots[: len(start)] = start
-        arr -= shots * pp1
-        arr[:-1] += p * shots[1:]
-        arr[p:] += shots[:-p]
-    total = int(shots.sum())
-    if total > limit:
-        raise WorkLimitExceeded(f"firing budget {limit} exceeded")
+        t[: len(start)] = start
     while True:
-        t = arr // pp1
-        np.maximum(t, 0, out=t)
-        fired = int(t.sum())
-        if not fired:
-            break
-        total += fired
-        if total > limit:
-            raise WorkLimitExceeded(f"firing budget {limit} exceeded")
         shots += t
         arr -= t * pp1
         arr[:-1] += p * t[1:]
         arr[p:] += t[:-p]
+        t = arr // pp1
+        np.maximum(t, 0, out=t)
+        if not np.count_nonzero(t):
+            break
     if arr[-(p + 2) :].any():
         raise Inconsistent("relaxation spilled past the proven support bound")
     b = arr.tolist()
     trim(b)
     s = shots.tolist()
     trim(s)
-    return b, s, total
+    return b, s, sum(s)
 
 
 def certify(b0: list[int], p: int, w: list[int]) -> list[int] | None:
@@ -410,7 +401,9 @@ def pile_with_shots(grains: int, p: int, limit: int) -> tuple[list[int], list[in
 
     Above the cutoff the relaxation starts from the shot vector of
     grains // _WARM_RATIO, rescaled; a result that `certify` does not
-    accept, a spill or an exhausted budget sends it back to the bare pile.
+    accept, or a spill, sends it back to the bare pile.  The budget is
+    charged once, on the decided total (the sum of the shot vector): the
+    recursion has already raised unless the quarter pile fit.
     """
     cutoff = _RELAX_CUTOFF // 4 if p == 1 else _RELAX_CUTOFF
     if grains < cutoff or support_cap(grains, p) > _RELAX_MAX_CELLS:
@@ -422,14 +415,16 @@ def pile_with_shots(grains: int, p: int, limit: int) -> tuple[list[int], list[in
     sub = grains // _WARM_RATIO
     start = _estimate(pile_with_shots(sub, p, limit)[1], sub, grains, p)
     try:
-        _, shots, total = relax(grains, p, limit, start)
-    except (Inconsistent, WorkLimitExceeded):
-        pass
+        _, shots, total = relax(grains, p, start)
+    except Inconsistent:
+        b = None
     else:
         b = certify([grains], p, shots)
-        if b is not None:
-            return b, shots, total
-    return relax(grains, p, limit)
+    if b is None:
+        b, shots, total = relax(grains, p)
+    if total > limit:
+        raise WorkLimitExceeded(f"firing budget {limit} exceeded")
+    return b, shots, total
 
 
 def max_plateau_over_trajectory(grains: int, p: int, limit: int) -> int:

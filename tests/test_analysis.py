@@ -189,6 +189,19 @@ class TestWaveReport:
         report = wave_report(cfg([2, 1, 0, 2, 1], 2))
         assert '"theorem2_index":0' in report.to_json()
 
+    @pytest.mark.parametrize(
+        "p, indices",
+        [
+            (2, [(11, 12), (13, 13), (15, 15), (17, 17)]),
+            (3, [(13, 14), (19, 19), (19, 19), (21, 21)]),
+            (4, [(17, 17), (21, 21), (25, 26), (28, 28)]),
+        ],
+    )
+    def test_emergence_table(self, p, indices):
+        """The README's wave-emergence table at N = 2^10, 2^12, 2^14, 2^16."""
+        reports = [wave_report(fixed_point(2**k, Params(p))) for k in (10, 12, 14, 16)]
+        assert [(r.theorem1_index, r.theorem2_index) for r in reports] == indices
+
     @given(stable_config)
     @settings(max_examples=200)
     def test_zero_runs_bounded_in_loose_decomposition(self, pc):

@@ -50,6 +50,15 @@ class TestFixpoint:
         assert lines[1] == "0,2,8,8"
         assert len(lines) == 6
 
+    def test_budget_is_the_shot_vector_sum(self, capsys, monkeypatch):
+        argv = ("fixpoint", "--p", "2", "--n", "16385")
+        _, out, _ = run(capsys, *argv)
+        total = sum(json.loads(run(capsys, *argv, "--format", "json")[1])["shot_vector"])
+        monkeypatch.setenv("KSPM_WORK_LIMIT", str(total))
+        assert run(capsys, *argv) == (0, out, "")
+        monkeypatch.setenv("KSPM_WORK_LIMIT", str(total - 1))
+        assert run(capsys, *argv) == (1, "", f"kspm: firing budget {total - 1} exceeded\n")
+
     @pytest.mark.parametrize(
         "argv",
         [

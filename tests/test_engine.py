@@ -32,7 +32,7 @@ def pushed(b0, p, e):
 @pytest.mark.parametrize("p", range(1, 7))
 @pytest.mark.parametrize("n", [4096, 16383, 16384, 16385, 65537])
 def test_warm_start_matches_cold_relax(p, n):
-    assert _engine.pile_with_shots(n, p, LIMIT) == _engine.relax(n, p, LIMIT)
+    assert _engine.pile_with_shots(n, p, LIMIT) == _engine.relax(n, p)
 
 
 def test_budget_counts_the_shot_vector():
@@ -53,31 +53,52 @@ def test_budget_counts_the_shot_vector():
 )
 def test_overshooting_estimate_falls_back(monkeypatch, overshoot):
     n, p = 16384, 2
-    cold = _engine.relax(n, p, LIMIT)
+    cold = _engine.relax(n, p)
     start = overshoot(np.array(cold[1], dtype=np.int64))
     monkeypatch.setattr(_engine, "_estimate", lambda shots, sub, grains, p: start)
     assert _engine.pile_with_shots(n, p, LIMIT) == cold
+    # the budget is charged on the cold total, not on the rejected warm run
+    assert _engine.pile_with_shots(n, p, cold[2]) == cold
+    with pytest.raises(WorkLimitExceeded):
+        _engine.pile_with_shots(n, p, cold[2] - 1)
+
+
+def record_cold_relaxes(monkeypatch):
+    """Patch `_engine.relax` to log the grain count of each call without a start."""
+    cold, relax = [], _engine.relax
+
+    def record_relax(grains, p, start=None):
+        if start is None:
+            cold.append(grains)
+        return relax(grains, p, start)
+
+    monkeypatch.setattr(_engine, "relax", record_relax)
+    return cold
 
 
 @pytest.mark.parametrize("p", range(1, 7))
 @pytest.mark.parametrize("n", [16385, 2**17 + 300])
 def test_warm_guess_is_certified_at_every_level(monkeypatch, p, n):
-    verdicts, cold = [], []
-    certify, relax = _engine.certify, _engine.relax
+    verdicts, certify = [], _engine.certify
 
     def record_certify(b0, p, w):
         verdicts.append(certify(b0, p, w))
         return verdicts[-1]
 
-    def record_relax(grains, p, limit, start=None):
-        if start is None:
-            cold.append(grains)
-        return relax(grains, p, limit, start)
-
     monkeypatch.setattr(_engine, "certify", record_certify)
-    monkeypatch.setattr(_engine, "relax", record_relax)
+    cold = record_cold_relaxes(monkeypatch)
     _engine.pile_with_shots(n, p, LIMIT)
     assert verdicts and None not in verdicts and not cold
+
+
+@pytest.mark.parametrize("p", range(1, 5))
+@pytest.mark.parametrize("n", [16385, 2**17 + 300])
+def test_over_budget_pile_never_relaxes_cold(monkeypatch, p, n):
+    total = _engine.pile_with_shots(n, p, LIMIT)[2]
+    cold = record_cold_relaxes(monkeypatch)
+    with pytest.raises(WorkLimitExceeded):
+        _engine.pile_with_shots(n, p, total - 1)
+    assert not cold
 
 
 class TestCertify:
