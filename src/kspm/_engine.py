@@ -43,6 +43,19 @@ gives and gets p+1.  In order, each y in (i, M) that held p, then M, fires
 y, y-1, ... down to the previous one + 1; those columns end as they began,
 so `tail` reads the order off the final pile.
 
+M is found with one search over a byte mask, mask[x] == (b[x] == p) and 0
+past the end of b, which the caller keeps beside b from grain to grain.
+The head writes nothing past i + p, so once (i, i+p] is undone the mask
+past i describes the pile before the avalanche, and M + 1 is the first
+s > i with p zero bytes from s on: `mask.find(bytes(p), i + 1)`.  Keeping
+the mask costs little: a firing leaves its column below p (a new rightmost
+column held p + 1, a column in a cascade at most 2p), so only its two
+neighbours can change their byte; the tail writes O(p) bytes by slices,
+b[i] going from 0 to p and b[M] from p to 0.  The search starts past
+column 0, so a caller may add grains there without writing its byte.  No
+cell past i + p (M + p after a tail) is written, and that cell ends
+positive, which is where the new support ends.
+
 `relax` is a batched variant used for large single-pile runs: one pass
 fires every enabled column as often as its current value allows, which is
 a legal interleaving of single firings (firing another column never
@@ -178,11 +191,21 @@ def leftmost(
     return total
 
 
-def avalanche(b: list[int], p: int) -> tuple[list[int], int]:
+def avalanche(b: list[int], p: int, mask: bytearray | None = None) -> tuple[list[int], int]:
     """Leftmost avalanche from b, whose one enabled column is b[0] > p: (head, last),
-    the columns fired singly, in order, then the dense tail (max(head), last]."""
+    the columns fired singly, in order, then the dense tail (max(head), last].
+
+    `mask` holds mask[x] == (b[x] == p), 0 past the end of b, except maybe at
+    column 0, and is kept so; one is built from b when none is given."""
     pp1 = p + 1
+    pm1 = p - 1
+    m = len(b)
     b.extend([0] * p)  # room for the firings at the old support's end
+    if mask is None:
+        mask = bytearray(map(p.__eq__, b))
+    elif len(mask) < m + p:
+        mask.extend(bytes(m + p - len(mask)))
+    mask[0] = 0  # b[0] > p
     head: list[int] = []
     append = head.append
     enabled = 1
@@ -195,7 +218,7 @@ def avalanche(b: list[int], p: int) -> tuple[list[int], int]:
             pos += 1
             v = b[pos]
         append(pos)
-        b[pos] = v - pp1
+        b[pos] = v - pp1  # below p: mask[pos] stays 0
         enabled -= 1  # fired once, so at most p now
         if pos > top:
             top = pos
@@ -204,31 +227,40 @@ def avalanche(b: list[int], p: int) -> tuple[list[int], int]:
         b[ip] = ov + 1
         if ov == p:
             enabled += 1
+            mask[ip] = 0
+        elif ov == pm1:
+            mask[ip] = 1
         if pos:
             ov = b[pos - 1]
             if ov:
                 b[pos - 1] = ov + p
+                if ov == p:
+                    mask[pos - 1] = 0
                 enabled += 1
                 pos -= 1
                 continue
             b[pos - 1] = p
+            mask[pos - 1] = 1
         if pos != below + 1:  # the cascade [pos, top] ends; it joins the block below if adjacent
             start = pos
         below = top
-        if enabled and top - start >= p - 1:  # the dense tail: undo, hop to M, write the change
-            b[top + 1 : top + pp1] = [x - 1 for x in b[top + 1 : top + pp1]]
-            last = top
-            try:
-                while True:
-                    last = b.index(p, last + 1, last + pp1)
-            except ValueError:
-                pass
-            b[top] += p
-            b[last] -= p
-            b[last + 1 : last + pp1] = [x + 1 for x in b[last + 1 : last + pp1]]
+        if enabled and top - start >= p - 1:  # the dense tail: undo, find M, write the change
+            seg = b[top + 1 : top + pp1]
+            b[top + 1 : top + pp1] = [x - 1 for x in seg]
+            mask[top + 1 : top + pp1] = map(p.__lt__, seg)  # held p before the +1
+            last = mask.find(bytes(p), top + 1) - 1
+            b[top] = p  # top held 0 since it fired
+            b[last] = 0  # last held p
+            mask[top] = 1
+            mask[last] = 0
+            seg = [x + 1 for x in b[last + 1 : last + pp1]]
+            b[last + 1 : last + pp1] = seg
+            mask[last + 1 : last + pp1] = map(p.__eq__, seg)
             top = last
             break
-    trim(b)
+    del b[top + pp1 if top + p >= m else m :]  # b[top + p], the last cell written, is positive
+    while not b[-1]:  # trim an untrimmed input; grains remain
+        b.pop()
     return head, top
 
 

@@ -12,7 +12,9 @@ L'(p,k) up to its largest column everything fires.  L(p,N) aggregates the
 maximum of L'(p,k) over k <= N.
 
 `steps` is the one grain-by-grain loop, on the `_engine.avalanche` kernel,
-which fires the dense tail (max(head), last] in one step.  `ROWS`, one row
+which fires the dense tail (max(head), last] in one step; a byte mask of the
+cells at p lives beside the pile across grains, so the kernel finds each
+tail's end with one search.  `ROWS`, one row
 formatter per format, works on a step (k, head, last, b, p); a full firing
 list is a head with an empty tail (last = max(fired)).  `incremental_scan`
 streams one record per grain to an observer and keeps only the current pile
@@ -157,15 +159,17 @@ def steps(
     order; each column of (max(head), last] fired once after them (last = -1
     when none fired).  `b` is the live pile, which the next step mutates:
     copy it, or rebuild the tail's order from it, before resuming.  The
+    kernel's mask of the cells at p lives beside b across grains.  The
     firing budget covers the whole scan and is charged after each avalanche.
     """
     check_grains(grains, 1, p)
     check_limit(work_limit)
     b = [0]
+    mask = bytearray(1)  # mask[x] == (b[x] == p)
     budget = work_limit
     for k in range(1, grains + 1):
         b[0] += 1
-        head, last = _engine.avalanche(b, p) if b[0] > p else ([], -1)
+        head, last = _engine.avalanche(b, p, mask) if b[0] > p else ([], -1)
         budget -= len(head) + last - max(head) if head else 0
         if budget < 0:
             raise WorkLimitExceeded(f"firing budget {work_limit} exceeded")

@@ -233,6 +233,54 @@ class TestAvalancheKernel:
             assert len(head) + last - max(head, default=-1) == total
 
 
+class TestAvalancheMask:
+    """The kernel's byte mask of the cells at p, kept across calls as `steps` keeps it."""
+
+    @staticmethod
+    def check(b, p):
+        """Add 2p + 2 grains on column 0 of the stable pile b, one mask across the calls."""
+        mask = bytearray(v == p for v in b)  # written before the grains, as `steps` leaves it
+        for _ in range(2 * p + 2):
+            b[0] += 1
+            if b[0] <= p:
+                continue
+            ref = list(b)
+            assert _engine.avalanche(b, p, mask) == _engine.avalanche(ref, p)
+            assert b == ref
+            assert mask[: len(b)] == bytes(v == p for v in b)
+            assert not any(mask[len(b) :])
+
+    @given(
+        st.integers(min_value=1, max_value=6).flatmap(
+            lambda p: st.tuples(st.just(p), st.lists(st.integers(0, p), max_size=40))
+        )
+    )
+    def test_random_stable_pile(self, case):
+        p, rest = case
+        self.check([p] + rest, p)
+
+    @given(st.integers(min_value=1, max_value=6), st.data())
+    def test_scan_piles(self, p, data):
+        self.check(list(data.draw(st.sampled_from(firing_scan_piles(p)))), p)
+
+    @given(WAVY_CASES)
+    def test_wavy_pile(self, case):
+        p, rest = case
+        self.check([p] + rest, p)
+
+    @pytest.mark.parametrize("p", range(1, 7))
+    def test_steps_against_leftmost(self, p):
+        ref: list[int] = []
+        for k, head, last, b in steps(3000, p):
+            ref = ref or [0]
+            ref[0] += 1
+            fired: list[int] = []
+            total = _engine.leftmost(ref, p, LIMIT, fired)
+            assert b == ref, k
+            assert head + _engine.tail(b, p, max(head, default=-1), last) == fired
+            assert len(head) + last - max(head, default=-1) == total
+
+
 SMALL_PILES = st.integers(min_value=1, max_value=4).flatmap(
     lambda p: st.tuples(st.just(p), st.lists(st.integers(0, 2 * p + 2), max_size=10))
 )
