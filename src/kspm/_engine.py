@@ -20,12 +20,12 @@ up by at most one step per firing.  `worklist` (rightmost, or
 seeded random) keeps them in a list and fires one slot of it.
 
 `avalanche` is a second leftmost loop, kept apart on purpose: the grain
-scan calls it once per grain and reads none of `leftmost`'s shots, optional
-lists or per-firing budget checks.  It needs a stable pile plus one grain
-on column 0 (b[0] > p, the one enabled column).  Then no column fires
-twice: at a first repeat, column i would hold at most p + (p+1) - (p+1) = p,
-having got at most p from i+1 and 1 from i-p (column 0 starts at p+1 but
-gets only p).  So nothing past the old support fires, and the scan charges
+scan calls it once per grain and needs no firing list or per-firing
+budget check.  It needs a stable pile plus one grain on column 0
+(b[0] > p, the one enabled column).  Then no column fires twice: at a
+first repeat, column i would hold at most p + (p+1) - (p+1) = p, having
+got at most p from i+1 and 1 from i-p (column 0 starts at p+1 but gets
+only p).  So nothing past the old support fires, and the scan charges
 the avalanche, at most the width long, to the budget once per grain.
 
 A run is a chain of cascades: a new rightmost column fires, then the ones
@@ -62,6 +62,12 @@ a legal interleaving of single firings (firing another column never
 disables a pending one), so by confluence it reaches the same fixed point
 with the same per-column firing counts.  It is vectorized with numpy.
 
+No loop counts firings per column: `odometer` reads u >= 0 off a pile
+b = c + Du of N grains by b_n = u_{n-p} - (p+1)*u_n + p*u_{n+1},
+backwards from u_n = 0 for n >= len(b) - p (b[r+p] = u_r for the last r
+with u_r > 0), with no division.  Below column 0 it must yield the
+boundary (N, 0, ..., 0), a grain-count check on every pile.
+
 Its pass count grows linearly with N, so large piles start warm.  In
 difference form KSPM(p) is an abelian sandpile on a directed graph with a
 sink: column i sends p chips to i-1 (to the sink for i = 0) and one to
@@ -70,11 +76,11 @@ the shot vector u is the least odometer w >= 0 with c + Dw stable, where
 (Dw)_i = p*w_{i+1} + w_{i-p} - (p+1)*w_i.  `pile_with_shots` therefore
 relaxes c + Ds from a guess s meant to sit below u: the shot vector of
 a quarter of the grains, rescaled, then smoothed by a (p+1)-minimum (the
-only floats).  `certify` checks the resulting odometer w >= u in exact
-ints with a burning pass, which rejects a guess that overshot.  A
-rejected w or a spill falls back to the cold relaxation of the bare
-pile, so the result never depends on the guess.  Either way the decided
-total is the sum of u, so the firing budget is charged once, on it.
+only floats).  `certify` checks in exact ints, by a burning pass, that the
+odometer w >= u read off the resulting pile c + Dw is u; a guess that
+overshot fails.  A rejected w or a spill falls back to the cold
+relaxation of the bare pile, so the result never depends on the guess.
+Either way the budget is charged once, on the sum of the shot vector.
 
 int64 bound: with N <= 2**40 grains, p*u_i <= N (column i moves p grains
 past itself per firing and grains never move left).  The guess is below
@@ -129,17 +135,10 @@ def support_cap(grains: int, p: int) -> int:
     return (p + 1) * (math.isqrt(grains) + 1) + 2 * p + 5
 
 
-def leftmost(
-    b: list[int],
-    p: int,
-    limit: int,
-    fired: list[int] | None = None,
-    shots: list[int] | None = None,
-) -> int:
+def leftmost(b: list[int], p: int, limit: int, fired: list[int] | None = None) -> int:
     """Fire the smallest enabled column until stable.  Returns total firings.
 
-    Fired columns are appended to `fired` in firing order and counted per
-    column in `shots`, which grows to the width reached.
+    Fired columns are appended to `fired` in firing order.
     """
     pp1 = p + 1
     m = len(b)
@@ -147,8 +146,6 @@ def leftmost(
     total = 0
     pos = 0
     append = fired.append if fired is not None else None
-    if shots is not None and len(shots) < m:
-        shots.extend([0] * (m - len(shots)))
     while enabled:
         v = b[pos]
         while v <= p:
@@ -178,15 +175,11 @@ def leftmost(
         ip = i + p
         if ip >= m:
             b.extend([0] * (ip + 1 - m))
-            if shots is not None:
-                shots.extend([0] * (ip + 1 - m))
             m = ip + 1
         ov = b[ip]
         b[ip] = ov + 1
         if ov == p:
             enabled += 1
-        if shots is not None:
-            shots[i] += 1
     trim(b)
     return total
 
@@ -319,30 +312,28 @@ def worklist(b: list[int], p: int, limit: int, seed: int | None = None) -> int:
     return total
 
 
-def relax(grains: int, p: int, start: np.ndarray | None = None) -> tuple[list[int], list[int], int]:
-    """Batched stabilization of `grains` on column 0: (final configuration, firings, total).
+def relax(grains: int, p: int, start: np.ndarray | None = None) -> list[int]:
+    """Batched stabilization of `grains` on column 0: the final configuration, trimmed.
 
     Equivalent to any sequential strategy by confluence; used as the fast
     path for single-pile runs with many grains.  `start`, a non-negative
     firing vector s, is the first pass: the loop then relaxes the pile
-    plus Ds and s is counted in the returned firings.  Only columns above
-    p fire, so entries that s drove negative stay put.  A spill past
-    `support_cap` raises Inconsistent: from a bare pile it would mean that
-    bound is wrong, from a start vector that s overshot.  There is no
+    plus Ds.  Only columns above p fire, so entries that s drove negative
+    stay put.  A spill past `support_cap` raises Inconsistent: from a bare
+    pile it would mean that bound is wrong, from a start vector that s
+    overshot.  There is no
     firing budget here: `pile_with_shots` charges the decided total.
     """
     pp1 = p + 1
     cap = support_cap(grains, p)
     arr = np.zeros(cap, dtype=np.int64)
     arr[0] = grains
-    shots = np.zeros(cap, dtype=np.int64)
     t = np.zeros(cap, dtype=np.int64)
     if start is not None:
         if len(start) > cap:
             raise Inconsistent("start vector spills past the support bound")
         t[: len(start)] = start
     while True:
-        shots += t
         arr -= t * pp1
         arr[:-1] += p * t[1:]
         arr[p:] += t[:-p]
@@ -354,35 +345,41 @@ def relax(grains: int, p: int, start: np.ndarray | None = None) -> tuple[list[in
         raise Inconsistent("relaxation spilled past the proven support bound")
     b = arr.tolist()
     trim(b)
-    s = shots.tolist()
-    trim(s)
-    return b, s, sum(s)
+    return b
 
 
-def certify(b0: list[int], p: int, w: list[int]) -> list[int] | None:
-    """b0 + Dw, trimmed, if w is the least stabilizing odometer of b0; else None.
+def odometer(b: list[int], grains: int, p: int) -> list[int]:
+    """The odometer u, trimmed, with b = c + Du for the pile c of `grains` on column 0.
+
+    The backward recurrence of the module docstring, O(len(b)); raises
+    Inconsistent unless it yields the boundary (grains, 0, ..., 0).
+    """
+    u = [0] * (len(b) + 1)  # u[n] = u_n, zero from len(b) - p on
+    for n in range(len(b) - 1, p - 1, -1):
+        u[n - p] = b[n] + (p + 1) * u[n] - p * u[n + 1]
+    edge = [b[n] + (p + 1) * u[n] - p * u[n + 1] for n in range(min(p, len(b)))]
+    if sum(edge) != grains or any(edge[1:]):
+        raise Inconsistent(f"pile is not reached from {grains} grains on column 0")
+    trim(u)
+    return u
+
+
+def certify(b: list[int], p: int, w: list[int]) -> bool:
+    """Whether w is the least stabilizing odometer of b0, given b = b0 + Dw.
 
     A set A inside supp(w) can be un-fired (fired backwards once each) and
-    leave b = b0 + Dw stable iff every x in A has in-degree from A, namely
+    leave b stable iff every x in A has in-degree from A, namely
     p*[x+1 in A] + [x-p in A], above b[x].  Burning removes from supp(w)
     every column that fails this until none does; what is left is the
     largest such A.  w is the least odometer u iff b is stable and nothing
     is left: un-firing A would give a smaller stabilizing odometer, and if
     w != u (so w >= u by least action) the set where w - u is largest could
-    be un-fired, since no in-degree exceeds p+1.  Exact ints, O(len(w) + p).
+    be un-fired, since no in-degree exceeds p+1.  Exact ints, O(len(b) + p).
     """
-    n = len(w)
-    b = list(b0) + [0] * max(0, n + p - len(b0))
-    pp1 = p + 1
-    for i, x in enumerate(w):
-        if x:
-            b[i] -= pp1 * x
-            if i:
-                b[i - 1] += p * x
-            b[i + p] += x
     if any(v > p for v in b):
-        return None
-    live = [x > 0 for x in w] + [False] * pp1
+        return False
+    n = len(w)
+    live = [x > 0 for x in w] + [False] * (p + 1)
     indeg = [p * live[i + 1] + (i >= p and live[i - p]) for i in range(n)]
     burn = [i for i in range(n) if live[i] and indeg[i] <= b[i]]
     while burn:
@@ -395,10 +392,7 @@ def certify(b0: list[int], p: int, w: list[int]) -> list[int] | None:
                 indeg[j] -= d
                 if indeg[j] <= b[j]:
                     burn.append(j)
-    if any(live):
-        return None
-    trim(b)
-    return b
+    return not any(live)
 
 
 def _sliding_min(x: np.ndarray, k: int) -> np.ndarray:
@@ -432,28 +426,27 @@ def pile_with_shots(grains: int, p: int, limit: int) -> tuple[list[int], list[in
     """Fixed point and shot vector of a single pile of `grains` on column 0.
 
     Above the cutoff the relaxation starts from the shot vector of
-    grains // _WARM_RATIO, rescaled; a result that `certify` does not
-    accept, or a spill, sends it back to the bare pile.  The budget is
-    charged once, on the decided total (the sum of the shot vector): the
-    recursion has already raised unless the quarter pile fit.
+    grains // _WARM_RATIO, rescaled; a spill, or an odometer that
+    `certify` rejects, sends it back to the bare pile.  The budget is
+    charged once, on the sum of the shot vector read off the decided
+    pile: the recursion has already raised unless the quarter pile fit.
     """
     cutoff = _RELAX_CUTOFF // 4 if p == 1 else _RELAX_CUTOFF
     if grains < cutoff or support_cap(grains, p) > _RELAX_MAX_CELLS:
         b = [grains] if grains else []
-        shots: list[int] = []
-        total = leftmost(b, p, limit, shots=shots)
-        trim(shots)
-        return b, shots, total
-    sub = grains // _WARM_RATIO
-    start = _estimate(pile_with_shots(sub, p, limit)[1], sub, grains, p)
-    try:
-        _, shots, total = relax(grains, p, start)
-    except Inconsistent:
-        b = None
+        leftmost(b, p, limit)
     else:
-        b = certify([grains], p, shots)
-    if b is None:
-        b, shots, total = relax(grains, p)
+        sub = grains // _WARM_RATIO
+        start = _estimate(pile_with_shots(sub, p, limit)[1], sub, grains, p)
+        try:
+            b = relax(grains, p, start)
+            w = odometer(b, grains, p)
+        except Inconsistent:
+            w = None
+        if w is None or not certify(b, p, w):
+            b = relax(grains, p)
+    shots = odometer(b, grains, p)
+    total = sum(shots)
     if total > limit:
         raise WorkLimitExceeded(f"firing budget {limit} exceeded")
     return b, shots, total

@@ -9,7 +9,9 @@ of height difference), the fixed point and the shot vector are linked by
 
 so  a_{n+1} = (-a_{n-p} + (p+1) a_n + b_n) / p  in exact integers: the
 division is forced by a congruence, which also pins b_n down to one value
-(or to {0, p} when the congruence is already satisfied).
+(or to {0, p} when the congruence is already satisfied).  From the right
+end, where a_n = 0 from len(b) - p on, a_{n-p} = b_n + (p+1) a_n - p a_{n+1}
+needs no division: `_engine.odometer` reads each shot vector off its pile.
 
 Sliding windows of the shot vector evolve linearly.  X_n holds the p+1
 counts a_{n-p} .. a_n; one step shifts the window and appends the exact
@@ -69,7 +71,7 @@ class ShotVector:
         return self.a(n - p) - (p + 1) * self.a(n) + p * self.a(n + 1)
 
     def fixed_point(self) -> Configuration:
-        """Rebuild pi(N) from the counts alone (independent of simulation)."""
+        """Rebuild pi(N) from the counts by the identity forwards; `_engine.odometer` inverts it."""
         width = len(self.counts) + self.params.p
         diffs = [self.height_diff(n) for n in range(width)]
         return Configuration(tuple(diffs), self.params)

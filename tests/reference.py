@@ -30,6 +30,14 @@ def trim(seq):
     return seq
 
 
+def shot_counts(fired):
+    """Per-column counts of a firing sequence, trimmed."""
+    counts = [0] * (max(fired, default=-1) + 1)
+    for i in fired:
+        counts[i] += 1
+    return counts
+
+
 class HeightPile:
     """Grain-moving rule applied to the height representation.
 
