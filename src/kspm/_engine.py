@@ -60,7 +60,14 @@ positive, which is where the new support ends.
 fires every enabled column as often as its current value allows, which is
 a legal interleaving of single firings (firing another column never
 disables a pending one), so by confluence it reaches the same fixed point
-with the same per-column firing counts.  It is vectorized with numpy.
+with the same per-column firing counts.  It is vectorized with numpy,
+on arrays allocated once and passed over in place.  The passes run on a
+view of the first m columns; firings in [m - p, m) drop their grain into
+a margin [m, m + p) that does not fire.  When the view is stable and a
+margin cell holds more than p, m doubles, up to the support bound;
+otherwise no column anywhere is enabled and the pile is the fixed point.
+A warm start sizes the view by its guess, so the passes cover about the
+final width rather than the bound, which is several times wider.
 
 No loop counts firings per column: `odometer` reads u >= 0 off a pile
 b = c + Du of N grains by b_n = u_{n-p} - (p+1)*u_n + p*u_{n+1},
@@ -319,28 +326,43 @@ def relax(grains: int, p: int, start: np.ndarray | None = None) -> list[int]:
     path for single-pile runs with many grains.  `start`, a non-negative
     firing vector s, is the first pass: the loop then relaxes the pile
     plus Ds.  Only columns above p fire, so entries that s drove negative
-    stay put.  A spill past `support_cap` raises Inconsistent: from a bare
-    pile it would mean that bound is wrong, from a start vector that s
-    overshot.  There is no
-    firing budget here: `pile_with_shots` charges the decided total.
+    stay put.  The passes run on a view of m = len(s) + p + 1 columns from
+    a start and cap - p cold (cap = `support_cap`), and nothing past its
+    margin is written, so a stable view with no margin cell above p is a
+    stable pile; every pass fires enabled columns only, so m does not
+    change the result.  A spill past `support_cap` raises Inconsistent:
+    from a bare pile it would mean that bound is wrong, from a start
+    vector that s overshot.  There is no firing budget here:
+    `pile_with_shots` charges the decided total.
     """
     pp1 = p + 1
     cap = support_cap(grains, p)
     arr = np.zeros(cap, dtype=np.int64)
     arr[0] = grains
     t = np.zeros(cap, dtype=np.int64)
+    tmp = np.empty(cap, dtype=np.int64)
+    m = top = cap - p
     if start is not None:
-        if len(start) > cap:
+        if len(start) > top:  # its last column would fire a grain past the bound
             raise Inconsistent("start vector spills past the support bound")
         t[: len(start)] = start
+        m = min(len(start) + pp1, top)
     while True:
-        arr -= t * pp1
-        arr[:-1] += p * t[1:]
-        arr[p:] += t[:-p]
-        t = arr // pp1
-        np.maximum(t, 0, out=t)
-        if not np.count_nonzero(t):
+        a, f, s = arr[:m], t[:m], tmp[:m]
+        left, right, gain = arr[: m - 1], arr[p : m + p], s[1:]
+        while True:
+            np.multiply(f, pp1, out=s)
+            np.subtract(a, s, out=a)
+            np.multiply(f[1:], p, out=gain)
+            np.add(left, gain, out=left)
+            np.add(right, f, out=right)
+            np.floor_divide(a, pp1, out=f)
+            np.maximum(f, 0, out=f)
+            if not np.count_nonzero(f):
+                break
+        if m == top or arr[m : m + p].max() <= p:
             break
+        m = min(2 * m, top)  # t is 0 here, so the wider view's first pass only refills it
     if arr[-(p + 2) :].any():
         raise Inconsistent("relaxation spilled past the proven support bound")
     b = arr.tolist()

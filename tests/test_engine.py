@@ -1,5 +1,5 @@
-"""The warm-started relaxation against the cold one, its certificate, the avalanche
-kernel, and the firing order of the worklist loop."""
+"""The warm-started relaxation against the cold one and the leftmost loop, its growing
+view, its certificate, the avalanche kernel, and the firing order of the worklist loop."""
 
 import functools
 import itertools
@@ -35,6 +35,23 @@ def test_warm_start_matches_cold_relax(p, n):
     b = _engine.relax(n, p)
     u = _engine.odometer(b, n, p)
     assert _engine.pile_with_shots(n, p, LIMIT) == (b, u, sum(u))
+
+
+@pytest.mark.parametrize("p", range(1, 7))
+@pytest.mark.parametrize("n", [4096, 16385])
+def test_pile_with_shots_matches_leftmost(p, n):
+    b, fired = [n], []
+    _engine.leftmost(b, p, LIMIT, fired)
+    assert _engine.pile_with_shots(n, p, LIMIT) == (b, reference.shot_counts(fired), len(fired))
+
+
+@pytest.mark.parametrize("p", range(1, 7))
+@pytest.mark.parametrize("n", [4096, 16385])
+def test_starts_that_grow_the_view(p, n):
+    b = _engine.relax(n, p)
+    u = np.array(_engine.odometer(b, n, p), dtype=np.int64)
+    for start in (u[:0], u[:1], u[: len(u) // 2], u[:-1], u // 2):
+        assert _engine.relax(n, p, start) == b
 
 
 def test_budget_counts_the_shot_vector():
