@@ -66,8 +66,8 @@ view of the first m columns; firings in [m - p, m) drop their grain into
 a margin [m, m + p) that does not fire.  When the view is stable and a
 margin cell holds more than p, m doubles, up to the support bound;
 otherwise no column anywhere is enabled and the pile is the fixed point.
-A warm start sizes the view by its guess, so the passes cover about the
-final width rather than the bound, which is several times wider.
+The view starts p + 1 columns past the start vector, so warm passes
+cover about the final width, not the bound, several times wider.
 
 No loop counts firings per column: `odometer` reads u >= 0 off a pile
 b = c + Du of N grains by b_n = u_{n-p} - (p+1)*u_n + p*u_{n+1},
@@ -85,18 +85,20 @@ relaxes c + Ds from a guess s meant to sit below u: the shot vector of
 a quarter of the grains, rescaled, then smoothed by a (p+1)-minimum (the
 only floats).  `certify` checks in exact ints, by a burning pass, that the
 odometer w >= u read off the resulting pile c + Dw is u; a guess that
-overshot fails.  A rejected w or a spill falls back to the cold
-relaxation of the bare pile, so the result never depends on the guess.
-Either way the budget is charged once, on the sum of the shot vector.
+overshot fails.  A rejected w or a spill falls back to s = 4*u(N//4):
+the odometer is monotone in the start pile and stable piles have no
+negative difference, so u(a + b) >= u(a) + u(b) (relax a, then b on top)
+and u(N) >= 4*u(N//4).  From s <= u no pass takes w past u (a column with
+w_x = u_x holds at most (c + Du)_x <= p), and the loop stops only on a
+stable pile, where w >= u by least action: w = u, with no certificate.
 
 int64 bound: with N <= 2**40 grains, p*u_i <= N (column i moves p grains
 past itself per firing and grains never move left).  The guess is below
 N/p as well, so every entry of c + Ds is at most (1 + (2p+2)/p)*N <= 5N in
-absolute value.  From a guess s <= u the odometer never passes u, so
-every transient keeps that bound; from an overshooting guess a pass
-raises the largest entry by at most p and never lowers a negative one.
-The cold relaxation from the bare pile stays below 2N.  All of this is
-far below 2**63.
+absolute value.  From any s <= u (the bare pile and 4*u(N//4) among them)
+the odometer never passes u, so every transient keeps that bound; from
+an overshooting guess a pass raises the largest entry by at most p and
+never lowers a negative one.  All of this is far below 2**63.
 """
 
 from __future__ import annotations
@@ -319,21 +321,20 @@ def worklist(b: list[int], p: int, limit: int, seed: int | None = None) -> int:
     return total
 
 
-def relax(grains: int, p: int, start: np.ndarray | None = None) -> list[int]:
+def relax(grains: int, p: int, start: np.ndarray | tuple[int, ...] = ()) -> list[int]:
     """Batched stabilization of `grains` on column 0: the final configuration, trimmed.
 
     Equivalent to any sequential strategy by confluence; used as the fast
     path for single-pile runs with many grains.  `start`, a non-negative
-    firing vector s, is the first pass: the loop then relaxes the pile
-    plus Ds.  Only columns above p fire, so entries that s drove negative
-    stay put.  The passes run on a view of m = len(s) + p + 1 columns from
-    a start and cap - p cold (cap = `support_cap`), and nothing past its
-    margin is written, so a stable view with no margin cell above p is a
-    stable pile; every pass fires enabled columns only, so m does not
-    change the result.  A spill past `support_cap` raises Inconsistent:
-    from a bare pile it would mean that bound is wrong, from a start
-    vector that s overshot.  There is no firing budget here:
-    `pile_with_shots` charges the decided total.
+    firing vector s (empty for the bare pile), is the first pass: the loop
+    then relaxes the pile plus Ds.  Only columns above p fire, so entries
+    that s drove negative stay put.  The passes run on a growing view of
+    m columns, from m = len(s) + p + 1 (at most cap - p, cap = `support_cap`);
+    every pass fires enabled columns only, so m does not change the
+    result.  A spill past `support_cap` raises Inconsistent: from s <= u
+    it would mean that bound is wrong, from a larger s that s overshot.
+    There is no firing budget here: `pile_with_shots` charges the decided
+    total.
     """
     pp1 = p + 1
     cap = support_cap(grains, p)
@@ -341,12 +342,11 @@ def relax(grains: int, p: int, start: np.ndarray | None = None) -> list[int]:
     arr[0] = grains
     t = np.zeros(cap, dtype=np.int64)
     tmp = np.empty(cap, dtype=np.int64)
-    m = top = cap - p
-    if start is not None:
-        if len(start) > top:  # its last column would fire a grain past the bound
-            raise Inconsistent("start vector spills past the support bound")
-        t[: len(start)] = start
-        m = min(len(start) + pp1, top)
+    top = cap - p
+    if len(start) > top:  # its last column would fire a grain past the bound
+        raise Inconsistent("start vector spills past the support bound")
+    t[: len(start)] = start
+    m = min(len(start) + pp1, top)
     while True:
         a, f, s = arr[:m], t[:m], tmp[:m]
         left, right, gain = arr[: m - 1], arr[p : m + p], s[1:]
@@ -448,10 +448,10 @@ def pile_with_shots(grains: int, p: int, limit: int) -> tuple[list[int], list[in
     """Fixed point and shot vector of a single pile of `grains` on column 0.
 
     Above the cutoff the relaxation starts from the shot vector of
-    grains // _WARM_RATIO, rescaled; a spill, or an odometer that
-    `certify` rejects, sends it back to the bare pile.  The budget is
-    charged once, on the sum of the shot vector read off the decided
-    pile: the recursion has already raised unless the quarter pile fit.
+    grains // _WARM_RATIO, rescaled, for `certify` to judge; after a spill
+    or a rejection, from _WARM_RATIO times it, a proven under-estimate.
+    The budget is charged once, on the sum of the shot vector read off the
+    decided pile: the recursion has already raised unless the quarter pile fit.
     """
     cutoff = _RELAX_CUTOFF // 4 if p == 1 else _RELAX_CUTOFF
     if grains < cutoff or support_cap(grains, p) > _RELAX_MAX_CELLS:
@@ -459,14 +459,14 @@ def pile_with_shots(grains: int, p: int, limit: int) -> tuple[list[int], list[in
         leftmost(b, p, limit)
     else:
         sub = grains // _WARM_RATIO
-        start = _estimate(pile_with_shots(sub, p, limit)[1], sub, grains, p)
+        quarter = pile_with_shots(sub, p, limit)[1]
         try:
-            b = relax(grains, p, start)
+            b = relax(grains, p, _estimate(quarter, sub, grains, p))
             w = odometer(b, grains, p)
         except Inconsistent:
             w = None
         if w is None or not certify(b, p, w):
-            b = relax(grains, p)
+            b = relax(grains, p, _WARM_RATIO * np.array(quarter, dtype=np.int64))
     shots = odometer(b, grains, p)
     total = sum(shots)
     if total > limit:

@@ -138,9 +138,9 @@ def _parser() -> argparse.ArgumentParser:
 def cmd_fixpoint(args: argparse.Namespace, limit: int) -> tuple:
     params = Params(args.p)
     pi, sv = dds.pile(args.n, params, limit)
-    heights = pi.heights().heights
     if args.format == "text":
         return 0, [pi.to_text()] if pi.diffs else []
+    heights = pi.heights().heights
     if args.format == "json":
         return 0, [json.dumps(
             {
@@ -208,10 +208,9 @@ def cmd_figure_data(args: argparse.Namespace, limit: int) -> tuple:
     if args.negate and args.which != "diffs":
         raise InvalidParameter("--negate needs --which diffs")
     params = Params(args.p)
-    if args.which == "heights":
-        heights = fixed_point(args.n, params, limit).heights().heights
-        return 0, ["n,height"], (f"{n},{h}" for n, h in enumerate(heights))
     pi, sv = dds.pile(args.n, params, limit)
+    if args.which == "heights":
+        return 0, ["n,height"], (f"{n},{h}" for n, h in enumerate(pi.heights().heights))
     if args.which == "shot":
         return 0, ["n,shots"], (f"{n},{sv.a(n)}" for n in range(pi.width()))
     traj = dds.trajectory_of(pi, sv, params)

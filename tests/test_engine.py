@@ -1,8 +1,10 @@
-"""The warm-started relaxation against the cold one and the leftmost loop, its growing
-view, its certificate, the avalanche kernel, and the firing order of the worklist loop."""
+"""The warm-started relaxation against a relaxation of the bare pile and the leftmost
+loop, its growing view, its certificate, its fallback from 4*u(N//4) and that start's
+premise, the avalanche kernel, and the firing order of the worklist loop."""
 
 import functools
 import itertools
+import random
 
 import numpy as np
 import pytest
@@ -84,17 +86,16 @@ def test_overshooting_estimate_falls_back(monkeypatch, overshoot):
         _engine.pile_with_shots(n, p, cold[2] - 1)
 
 
-def record_cold_relaxes(monkeypatch):
-    """Patch `_engine.relax` to log the grain count of each call without a start."""
-    cold, relax = [], _engine.relax
+def record_relaxes(monkeypatch):
+    """Patch `_engine.relax` to log the grain count of every call."""
+    calls, relax = [], _engine.relax
 
-    def record_relax(grains, p, start=None):
-        if start is None:
-            cold.append(grains)
+    def record_relax(grains, p, start=()):
+        calls.append(grains)
         return relax(grains, p, start)
 
     monkeypatch.setattr(_engine, "relax", record_relax)
-    return cold
+    return calls
 
 
 @pytest.mark.parametrize("p", range(1, 7))
@@ -107,19 +108,53 @@ def test_warm_guess_is_certified_at_every_level(monkeypatch, p, n):
         return verdicts[-1]
 
     monkeypatch.setattr(_engine, "certify", record_certify)
-    cold = record_cold_relaxes(monkeypatch)
+    calls = record_relaxes(monkeypatch)
     _engine.pile_with_shots(n, p, LIMIT)
-    assert verdicts and all(verdicts) and not cold
+    # one relax per warm level, innermost first: no fallback ran
+    assert verdicts and all(verdicts) and calls == sorted(set(calls))
 
 
 @pytest.mark.parametrize("p", range(1, 5))
 @pytest.mark.parametrize("n", [16385, 2**17 + 300])
 def test_over_budget_pile_never_relaxes_cold(monkeypatch, p, n):
     total = _engine.pile_with_shots(n, p, LIMIT)[2]
-    cold = record_cold_relaxes(monkeypatch)
+    calls = record_relaxes(monkeypatch)
     with pytest.raises(WorkLimitExceeded):
         _engine.pile_with_shots(n, p, total - 1)
-    assert not cold
+    assert calls and calls == sorted(set(calls))
+
+
+@pytest.mark.parametrize("p", range(1, 7))
+@pytest.mark.parametrize("n", [4096, 16385])
+def test_rejected_guess_falls_back_exactly(monkeypatch, p, n):
+    b, fired = [n], []
+    _engine.leftmost(b, p, LIMIT, fired)
+    monkeypatch.setattr(_engine, "certify", lambda b, p, w: False)
+    calls = record_relaxes(monkeypatch)
+    assert _engine.pile_with_shots(n, p, LIMIT) == (b, reference.shot_counts(fired), len(fired))
+    # each warm level relaxes twice: the rejected guess, then 4*u(N//4)
+    assert calls and calls == [g for g in sorted(set(calls)) for _ in range(2)]
+
+
+@pytest.mark.parametrize("p", range(1, 9))
+def test_four_quarter_odometers_stay_below(p):
+    """4*u(N//4) <= u(N) in every column: every N up to 3,000, then seeded larger N."""
+    us, b, u = [[]], [], []
+    for n in range(1, 3001):
+        b = b or [0]
+        b[0] += 1
+        fired: list[int] = []
+        _engine.leftmost(b, p, LIMIT, fired)
+        u = u + [0] * (max(fired, default=-1) + 1 - len(u))
+        for i in fired:
+            u[i] += 1
+        us.append(u)
+    cases = [(us[n // 4], us[n]) for n in range(4, 3001)]
+    for n in random.Random(p).sample(range(3001, 3 * 10**5), 8):
+        quarter = _engine.pile_with_shots(n // 4, p, LIMIT)[1]
+        cases.append((quarter, _engine.pile_with_shots(n, p, LIMIT)[1]))
+    for quarter, whole in cases:
+        assert all(4 * x <= y for x, y in itertools.zip_longest(quarter, whole, fillvalue=0))
 
 
 class TestCertify:
