@@ -29,19 +29,28 @@ only p).  So nothing past the old support fires, and the scan charges
 the avalanche, at most the width long, to the budget once per grain.
 
 A run is a chain of cascades: a new rightmost column fires, then the ones
-left of it while the left neighbour held a grain.  Let a cascade end with
-all of (i-p, i] fired, i the top (the block under the top is tracked per
-cascade in O(1)): nothing up to i is enabled, and each of (i, i+p] holds
-one grain from its left source.  Let M be the first j >= i with no column
-of (j, j+p] at p before the avalanche.  The rest fires exactly (i, M]:
-given (j-p, j] fired, a y in (j, j+p] that held p fires on the grain from
-y-p, then each column between j and y on p from its right; past M, the
-first column to fire has no fired right neighbour, so it held p, and its
-fired left source puts it in (M, M+p].  The net change is O(p), after p
-firings: b[i] += p, b[M] -= p, (M, M+p] gain one, and each column between
-gives and gets p+1.  In order, each y in (i, M) that held p, then M, fires
-y, y-1, ... down to the previous one + 1; those columns end as they began,
-so `tail` reads the order off the final pile.
+left of it while the left neighbour held a grain.  A cascade never enters
+a column x that fired before: x gets p when x + 1 fires, so had it held
+more than 0 it would fire twice; it held 0, and the cascade stops at x + 1.
+So cascades are disjoint ranges, each right of the ones before, and one
+that stops at pos joins the block below exactly when pos - 1 is the last
+cascade's top; otherwise pos - 1 never fired.  The block [start, top],
+tracked per cascade in O(1), is thus the head's rightmost maximal run of
+fired columns; the tail below extends it, so start is the density column
+L'(p, k), one past the largest hole.
+
+Let a cascade end with all of (i-p, i] fired, i the top: nothing up to i
+is enabled, and each of (i, i+p] holds one grain from its left source.
+Let M be the first j >= i with no column of (j, j+p] at p before the
+avalanche.  The rest fires exactly (i, M]: given (j-p, j] fired, a y in
+(j, j+p] that held p fires on the grain from y-p, then each column
+between j and y on p from its right; past M, the first column to fire
+has no fired right neighbour, so it held p, and its fired left source
+puts it in (M, M+p].  The net change is O(p), after p firings: b[i] += p,
+b[M] -= p, (M, M+p] gain one, and each column between gives and gets
+p+1.  In order, each y in (i, M) that held p, then M, fires y, y-1, ...
+down to the previous one + 1; those columns end as they began, so `tail`
+reads the order off the final pile.
 
 M is found with one search over a byte mask, mask[x] == (b[x] == p) and 0
 past the end of b, which the caller keeps beside b from grain to grain.
@@ -193,9 +202,11 @@ def leftmost(b: list[int], p: int, limit: int, fired: list[int] | None = None) -
     return total
 
 
-def avalanche(b: list[int], p: int, mask: bytearray | None = None) -> tuple[list[int], int]:
-    """Leftmost avalanche from b, whose one enabled column is b[0] > p: (head, last),
-    the columns fired singly, in order, then the dense tail (max(head), last].
+def avalanche(b: list[int], p: int, mask: bytearray | None = None) -> tuple[list[int], int, int]:
+    """Leftmost avalanche from b, whose one enabled column is b[0] > p: (head, start,
+    last), the columns fired singly, in order, the first column of the run of fired
+    columns that ends at max(head), which is L'(p, k) (module docstring), and the
+    dense tail (max(head), last].
 
     `mask` holds mask[x] == (b[x] == p), 0 past the end of b, except maybe at
     column 0, and is kept so; one is built from b when none is given."""
@@ -263,7 +274,7 @@ def avalanche(b: list[int], p: int, mask: bytearray | None = None) -> tuple[list
     del b[top + pp1 if top + p >= m else m :]  # b[top + p], the last cell written, is positive
     while not b[-1]:  # trim an untrimmed input; grains remain
         b.pop()
-    return head, top
+    return head, start, top
 
 
 def tail(b: list[int], p: int, top: int, last: int) -> list[int]:

@@ -12,11 +12,12 @@ L'(p,k) up to its largest column everything fires.  L(p,N) aggregates the
 maximum of L'(p,k) over k <= N.
 
 `steps` is the one grain-by-grain loop, on the `_engine.avalanche` kernel,
-which fires the dense tail (max(head), last] in one step; a byte mask of the
-cells at p lives beside the pile across grains, so the kernel finds each
-tail's end with one search.  `ROWS`, one row
-formatter per format, works on a step (k, head, last, b, p); a full firing
-list is a head with an empty tail (last = max(fired)).  `incremental_scan`
+which fires the dense tail (max(head), last] in one step and returns L'
+as the start of its last fired block; a byte mask of the cells at p lives
+beside the pile across grains, so the kernel finds each tail's end with
+one search.  `ROWS`, one row formatter per format, works on a step
+(k, head, lp, last, b) and p; a full firing list is a head with an empty
+tail (last = max(fired)) and its L' from `density_column`.  `incremental_scan`
 streams one record per grain to an observer and keeps only the current pile
 in memory, so scans up to millions of grains need memory proportional to
 the support width, not to N.  Observer callbacks run on the scan's own
@@ -112,7 +113,7 @@ def run_avalanche(
     check_limit(work_limit)
     p = c.params.p
     b = list(add_grain(c).diffs)
-    head, last = _engine.avalanche(b, p) if b[0] > p else ([], -1)
+    head, _, last = _engine.avalanche(b, p) if b[0] > p else ([], 0, -1)
     fired = _fired(head, last, b, p)
     if len(fired) > work_limit:
         raise WorkLimitExceeded(f"firing budget {work_limit} exceeded")
@@ -121,28 +122,14 @@ def run_avalanche(
 
 def holes(a: Avalanche) -> list[int]:
     """Ascending positions i with i not fired but i+1 fired."""
-    if not a.fired:
-        return []
-    cols = sorted(a.fired)
+    cols = sorted(set(a.fired))
     return [v - 1 for j, v in enumerate(cols) if v and (j == 0 or cols[j - 1] != v - 1)]
 
 
 def density_column(a: Avalanche) -> DensityReport:
     """L'(p,k): one past the largest hole (0 when the avalanche has none)."""
-    return DensityReport(a.k, _lprime(a.fired), a.max_fired)
-
-
-def _lprime(fired) -> int:
-    # start of the rightmost maximal run of consecutive fired columns
-    if not fired:
-        return 0
-    cols = sorted(fired)
-    start = cols[-1]
-    for v in reversed(cols[:-1]):
-        if v != start - 1:
-            break
-        start = v
-    return start
+    hs = holes(a)
+    return DensityReport(a.k, hs[-1] + 1 if hs else 0, a.max_fired)
 
 
 def _fired(head: Sequence[int], last: int, b: Sequence[int], p: int) -> list[int]:
@@ -152,12 +139,13 @@ def _fired(head: Sequence[int], last: int, b: Sequence[int], p: int) -> list[int
 
 def steps(
     grains: int, p: int, work_limit: int = DEFAULT_WORK_LIMIT
-) -> Iterator[tuple[int, list[int], int, list[int]]]:
-    """Yield (k, head, last, b) for k = 1 .. grains: the k-th avalanche and pi(k).
+) -> Iterator[tuple[int, list[int], int, int, list[int]]]:
+    """Yield (k, head, lp, last, b) for k = 1 .. grains: the k-th avalanche and pi(k).
 
     `head` lists the columns fired one at a time while absorbing grain k, in
-    order; each column of (max(head), last] fired once after them (last = -1
-    when none fired).  `b` is the live pile, which the next step mutates:
+    order; each column of (max(head), last] fired once after them, and
+    lp = L'(p, k) (an empty avalanche is ([], 0, -1)).  `b` is the live
+    pile, which the next step mutates:
     copy it, or rebuild the tail's order from it, before resuming.  The
     kernel's mask of the cells at p lives beside b across grains.  The
     firing budget covers the whole scan and is charged after each avalanche.
@@ -169,11 +157,11 @@ def steps(
     budget = work_limit
     for k in range(1, grains + 1):
         b[0] += 1
-        head, last = _engine.avalanche(b, p, mask) if b[0] > p else ([], -1)
+        head, lp, last = _engine.avalanche(b, p, mask) if b[0] > p else ([], 0, -1)
         budget -= len(head) + last - max(head) if head else 0
         if budget < 0:
             raise WorkLimitExceeded(f"firing budget {work_limit} exceeded")
-        yield k, head, last, b
+        yield k, head, lp, last, b
 
 
 def incremental_scan(
@@ -191,12 +179,11 @@ def incremental_scan(
     l_global = 0
     total = 0
     max_avalanche = 0
-    for k, head, last, b in steps(grains, params.p, work_limit):
+    for k, head, lp, last, b in steps(grains, params.p, work_limit):
         size = len(head) + last - max(head) if head else 0
         total += size
         if size > max_avalanche:
             max_avalanche = size
-        lp = _lprime(head)
         if lp > l_global:
             l_global = lp
         if sink is not None:
@@ -207,29 +194,27 @@ def incremental_scan(
 
 
 class ScanCsvWriter:
-    """Observer that appends one CSV row per grain.
-
-    Columns: k, fired_count, max_fired, l_prime, support_width; max_fired
-    is left empty for an avalanche that fired nothing.
-    """
-
-    HEADER = ("k", "fired_count", "max_fired", "l_prime", "support_width")
+    """Observer that writes `CSV_HEADER`, then one CSV row per grain."""
 
     def __init__(self, stream: IO[str]):
         self._write = stream.write
-        self._write(",".join(self.HEADER) + "\n")
+        self._write(CSV_HEADER + "\n")
 
     def __call__(self, k: int, a: Avalanche, c: Configuration) -> None:
-        self._write(ROWS["csv"](k, a.fired, max(a.fired, default=-1), c.diffs, c.params.p) + "\n")
+        lp, last = density_column(a).l_prime, max(a.fired, default=-1)
+        self._write(ROWS["csv"](k, a.fired, lp, last, c.diffs, c.params.p) + "\n")
 
 
-# output format -> one row over a step, without the newline; L' is head's (the tail extends it)
-ROWS: dict[str, Callable[[int, Sequence[int], int, Sequence[int], int], str]] = {
-    "csv": lambda k, h, last, b, p: (
-        f"{k},{len(h) + last - max(h)},{last},{_lprime(h)},{len(b)}" if h else f"{k},0,,0,{len(b)}"
+# max_fired is left empty for an avalanche that fired nothing
+CSV_HEADER = "k,fired_count,max_fired,l_prime,support_width"
+
+# output format -> one row over a step (k, head, lp, last, b) and p, without the newline
+ROWS: dict[str, Callable[[int, Sequence[int], int, int, Sequence[int], int], str]] = {
+    "csv": lambda k, h, lp, last, b, p: (
+        f"{k},{len(h) + last - max(h)},{last},{lp},{len(b)}" if h else f"{k},0,,0,{len(b)}"
     ),
-    "json": lambda k, h, last, b, p: (
+    "json": lambda k, h, lp, last, b, p: (
         f'{{"k":{k},"fired":[{",".join(map(str, _fired(h, last, b, p)))}]}}'
     ),
-    "text": lambda k, h, last, b, p: f"{k}: {' '.join(map(str, _fired(h, last, b, p)))}",
+    "text": lambda k, h, lp, last, b, p: f"{k}: {' '.join(map(str, _fired(h, last, b, p)))}",
 }

@@ -159,12 +159,12 @@ def cmd_fixpoint(args: argparse.Namespace, limit: int) -> tuple:
 def cmd_avalanche(args: argparse.Namespace, limit: int) -> tuple:
     params = Params(args.p)
     row = avalanche.ROWS[args.format]
-    header = [",".join(avalanche.ScanCsvWriter.HEADER)] if args.format == "csv" else []
+    header = [avalanche.CSV_HEADER] if args.format == "csv" else []
     if args.k is None:
         if args.upto < 1:
             raise InvalidParameter(f"--upto must be >= 1, got {args.upto}")
         scan = avalanche.steps(args.upto, args.p, limit)
-        return 0, header, (row(k, head, last, b, args.p) for k, head, last, b in scan)
+        return 0, header, (row(*step, args.p) for step in scan)
     if args.k < 1:
         raise InvalidParameter(f"--k must be >= 1, got {args.k}")
     previous = fixed_point(args.k - 1, params, limit)
@@ -172,7 +172,8 @@ def cmd_avalanche(args: argparse.Namespace, limit: int) -> tuple:
     fired = record.fired
     if args.format == "text":  # a single record prints its columns only, and nothing when empty
         return 0, [" ".join(map(str, fired))] if fired else []
-    return 0, header, [row(args.k, fired, max(fired, default=-1), result.diffs, args.p)]
+    lp = avalanche.density_column(record).l_prime
+    return 0, header, [row(args.k, fired, lp, max(fired, default=-1), result.diffs, args.p)]
 
 
 def cmd_verify(args: argparse.Namespace, limit: int) -> tuple:

@@ -105,7 +105,7 @@ def check_support(p: int, n_max: int, work_limit: int = DEFAULT_WORK_LIMIT) -> C
     """Strict sqrt bounds on the fixed-point width for every N <= n_max."""
     name = f"support p={p}"
     Params(p)
-    for k, _, _, b in avalanche.steps(n_max, p, work_limit):
+    for k, *_, b in avalanche.steps(n_max, p, work_limit):
         report = analysis.support_bounds(k, p, len(b))
         if not report.holds:
             return CheckResult(
@@ -222,8 +222,7 @@ def check_density(p: int, n_max: int, work_limit: int = DEFAULT_WORK_LIMIT) -> C
     l_global = 0
     checkpoints: dict[int, int] = {}
     prev_emergence = 0  # empty pile matches everywhere
-    for k, head, last, b in avalanche.steps(n_max, p, work_limit):
-        lp = avalanche._lprime(head)
+    for k, head, lp, last, b in avalanche.steps(n_max, p, work_limit):
         bound = prev_emergence + p + 1
         if lp > bound:
             return CheckResult(

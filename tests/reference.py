@@ -64,8 +64,8 @@ class HeightPile:
             self.h[i + k] += 1
         self.h = trim(self.h)
 
-    def leftmost_run(self, record_diffs=None):
-        """Stabilize via leftmost firings; optionally record each state."""
+    def leftmost_run(self, record_diffs=None, fired=None):
+        """Stabilize via leftmost firings; optionally record each state and column fired."""
         total = 0
         while True:
             en = self.enabled()
@@ -73,6 +73,8 @@ class HeightPile:
                 return total
             self.fire(en[0])
             total += 1
+            if fired is not None:
+                fired.append(en[0])
             if record_diffs is not None:
                 record_diffs.append(diffs_from_heights(self.h))
 

@@ -25,6 +25,8 @@ from kspm import (
 )
 from kspm.errors import IndexOutOfRange, InvalidParameter, NonIntegral
 
+import reference
+
 
 class TestShotVector:
     def test_n24(self):
@@ -59,6 +61,15 @@ class TestShotVector:
         for n in (0, 1, 24, 100, 777):
             sv = shot_vector(n, Params(p))
             assert sv.fixed_point() == fixed_point(n, Params(p))
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 4, 5, 6])
+    def test_counts_of_the_height_rule_run(self, p):
+        """Against the height-rule oracle, which shares no engine with the package;
+        1025 and 4097 cross the relax cutoffs (1024 at p=1, 4096 above)."""
+        for n in (0, 1, 24, 777, 1025, 4097):
+            fired: list[int] = []
+            reference.HeightPile([n], p).leftmost_run(fired=fired)
+            assert shot_vector(n, Params(p)).counts == tuple(reference.shot_counts(fired)), n
 
     @pytest.mark.parametrize("p", [1, 2, 3, 4, 5, 6])
     def test_relation_along_full_scan(self, p):

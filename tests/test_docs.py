@@ -58,21 +58,26 @@ def test_readme_library_example():
 
 
 def test_readme_cli_outputs(capsys):
-    """A quoted comment is the whole output; a key=value comment is part of it."""
+    """A quoted comment is the whole output, a comma-separated header its first
+    line; a key=value comment is part of it."""
     checked = []
     for argv, comment in cli_examples():
         quoted = re.fullmatch(r'"(.*)"', comment)
-        if not quoted and not re.fullmatch(r"\w+=\S+", comment):
+        header = re.fullmatch(r"\w+(,\w+)+", comment)
+        if not quoted and not header and not re.fullmatch(r"\w+=\S+", comment):
             continue  # a description, not an output
         assert main(argv) == 0, argv
         out = capsys.readouterr().out
         if quoted:
             assert out == quoted.group(1) + "\n", argv
+        elif header:
+            assert out.split("\n", 1)[0] == comment, argv
         else:
             assert comment in out.split(), argv
         checked.append(" ".join(argv))
     assert checked == [
         "fixpoint --p 2 --n 24",
         "avalanche --p 2 --k 25",
+        "avalanche --p 2 --upto 1000 --format csv",
         "verify waves --p 4 --n 2000",
     ]

@@ -258,7 +258,13 @@ def test_sliding_min(k):
 @functools.cache
 def firing_scan_piles(p):
     """Copies of pi(k - 1), k <= 1500, on which the k-th grain starts an avalanche."""
-    return [list(b) for _, _, _, b in steps(1499, p) if b[0] == p]
+    return [list(b) for *_, b in steps(1499, p) if b[0] == p]
+
+
+def lprime(fired):
+    """L'(p, k) of a firing order by brute force: one past its largest hole, else 0."""
+    hs = reference.brute_holes(fired)
+    return hs[-1] + 1 if hs else 0
 
 
 def wavy(p):
@@ -284,8 +290,9 @@ class TestAvalancheKernel:
         ref = list(b)
         fired_ref: list[int] = []
         total = _engine.leftmost(ref, p, LIMIT, fired_ref)
-        head, last = _engine.avalanche(b, p)
+        head, start, last = _engine.avalanche(b, p)
         assert head + _engine.tail(b, p, max(head), last) == fired_ref
+        assert start == lprime(fired_ref)
         assert b == ref
         assert len(head) + last - max(head) == total
         return last > max(head)
@@ -319,7 +326,7 @@ class TestAvalancheKernel:
     @pytest.mark.parametrize("p, n", [(64, 3000), (1000, 3000)])
     def test_steps_at_large_p(self, p, n):
         ref: list[int] = []
-        for k, head, last, b in steps(n, p):
+        for k, head, lp, last, b in steps(n, p):
             ref = ref or [0]
             ref[0] += 1
             fired: list[int] = []
@@ -327,6 +334,7 @@ class TestAvalancheKernel:
             assert b == ref, k
             assert head + _engine.tail(b, p, max(head, default=-1), last) == fired
             assert len(head) + last - max(head, default=-1) == total
+            assert lp == lprime(fired), k
 
 
 class TestAvalancheMask:
@@ -367,7 +375,7 @@ class TestAvalancheMask:
     @pytest.mark.parametrize("p", range(1, 7))
     def test_steps_against_leftmost(self, p):
         ref: list[int] = []
-        for k, head, last, b in steps(3000, p):
+        for k, head, lp, last, b in steps(3000, p):
             ref = ref or [0]
             ref[0] += 1
             fired: list[int] = []
@@ -375,6 +383,7 @@ class TestAvalancheMask:
             assert b == ref, k
             assert head + _engine.tail(b, p, max(head, default=-1), last) == fired
             assert len(head) + last - max(head, default=-1) == total
+            assert lp == lprime(fired), k
 
 
 SMALL_PILES = st.integers(min_value=1, max_value=4).flatmap(
