@@ -91,15 +91,17 @@ i+p, and every in-degree is at most p+1.  By the least action principle
 the shot vector u is the least odometer w >= 0 with c + Dw stable, where
 (Dw)_i = p*w_{i+1} + w_{i-p} - (p+1)*w_i.  `pile_with_shots` therefore
 relaxes c + Ds from a guess s meant to sit below u: the shot vector of
-a quarter of the grains, rescaled, then smoothed by a (p+1)-minimum (the
-only floats).  `certify` checks in exact ints, by a burning pass, that the
-odometer w >= u read off the resulting pile c + Dw is u; a guess that
-overshot fails.  A rejected w or a spill falls back to s = 4*u(N//4):
-the odometer is monotone in the start pile and stable piles have no
-negative difference, so u(a + b) >= u(a) + u(b) (relax a, then b on top)
-and u(N) >= 4*u(N//4).  From s <= u no pass takes w past u (a column with
-w_x = u_x holds at most (c + Du)_x <= p), and the loop stops only on a
-stable pile, where w >= u by least action: w = u, with no certificate.
+a quarter of the grains, rescaled, then smoothed by a (p+1)-minimum
+centred on each column (the only floats; a forward window shifts the
+profile right, and overshot at p=5).  `certify` checks in exact ints, by
+a burning pass, that the odometer w >= u read off the resulting pile
+c + Dw is u; a guess that overshot fails.  A rejected w or a spill falls
+back to s = 4*u(N//4): the odometer is monotone in the start pile and
+stable piles have no negative difference, so u(a + b) >= u(a) + u(b)
+(relax a, then b on top) and u(N) >= 4*u(N//4).  From s <= u no pass
+takes w past u (a column with w_x = u_x holds at most (c + Du)_x <= p),
+and the loop stops only on a stable pile, where w >= u by least action:
+w = u, with no certificate.
 
 int64 bound: with N <= 2**40 grains, p*u_i <= N (column i moves p grains
 past itself per firing and grains never move left).  The guess is below
@@ -445,14 +447,16 @@ def _estimate(shots: list[int], sub: int, grains: int, p: int) -> np.ndarray:
     Widths scale as sqrt(N), so with r = grains / sub the shot vector
     satisfies a_i(grains) ~ r * a_{i/sqrt(r)}(sub).  The rescaled profile
     is read off by linear interpolation, down to 0 one cell past its end.
-    A minimum over p+1 cells flattens the oscillation near the origin that
-    interpolation would misplace.
+    A minimum over the p+1 cells [i - p//2, i + p - p//2], clipped at
+    column 0, flattens the oscillation near the origin that interpolation
+    would misplace.  A forward window [i, i + p] would shift the profile
+    about p/2 columns right: more passes, and an overshoot at p=5.
     """
     r = grains / sub
     scale = math.sqrt(r)
     x = np.arange(int(len(shots) * scale) + 1) / scale
     est = r * np.interp(x, np.arange(len(shots) + 1), shots + [0])
-    return _sliding_min(est, p + 1).astype(np.int64)
+    return _sliding_min(np.pad(est, (p // 2, 0), "edge"), p + 1)[: len(est)].astype(np.int64)
 
 
 def pile_with_shots(grains: int, p: int, limit: int) -> tuple[list[int], list[int], int]:

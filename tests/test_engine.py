@@ -98,9 +98,8 @@ def record_relaxes(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("p", range(1, 7))
-@pytest.mark.parametrize("n", [16385, 2**17 + 300])
-def test_warm_guess_is_certified_at_every_level(monkeypatch, p, n):
+def assert_warm_guess_certified(monkeypatch, p, n):
+    """Record every `certify` verdict and relax call of one pile_with_shots run."""
     verdicts, certify = [], _engine.certify
 
     def record_certify(b, p, w):
@@ -112,6 +111,17 @@ def test_warm_guess_is_certified_at_every_level(monkeypatch, p, n):
     _engine.pile_with_shots(n, p, LIMIT)
     # one relax per warm level, innermost first: no fallback ran
     assert verdicts and all(verdicts) and calls == sorted(set(calls))
+
+
+@pytest.mark.parametrize("p", range(1, 9))
+@pytest.mark.parametrize("n", [16385, 2**17 + 300])
+def test_warm_guess_is_certified_at_every_level(monkeypatch, p, n):
+    assert_warm_guess_certified(monkeypatch, p, n)
+
+
+def test_warm_guess_is_certified_at_p5_above_2e7(monkeypatch):
+    """A forward (p+1)-minimum overshot at this pile's top level."""
+    assert_warm_guess_certified(monkeypatch, 5, 23_738_911)
 
 
 @pytest.mark.parametrize("p", range(1, 5))
@@ -253,6 +263,17 @@ def test_sliding_min(k):
     padded = np.concatenate([x, np.zeros(k - 1)])
     expected = [padded[i : i + k].min() for i in range(len(x))]
     assert _engine._sliding_min(x, k).tolist() == expected
+
+
+@pytest.mark.parametrize("p", range(1, 9))
+@pytest.mark.parametrize("shots", [[9, 4, 7, 1, 8, 3, 6, 2, 5, 0, 3, 1], [40, 3], [7]])
+def test_estimate_takes_a_centred_minimum(p, shots):
+    """At grains == sub the rescaled profile is shots + [0], so only the window acts:
+    min(est[i - p//2 : i + p - p//2 + 1]), clipped at column 0, 0 past the end."""
+    est = shots + [0]
+    padded = est + [0] * p
+    expected = [min(padded[max(0, i - p // 2) : i + p - p // 2 + 1]) for i in range(len(est))]
+    assert _engine._estimate(shots, 1, 1, p).tolist() == expected
 
 
 @functools.cache
