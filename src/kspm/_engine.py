@@ -110,6 +110,21 @@ absolute value.  From any s <= u (the bare pile and 4*u(N//4) among them)
 the odometer never passes u, so every transient keeps that bound; from
 an overshooting guess a pass raises the largest entry by at most p and
 never lowers a negative one.  All of this is far below 2**63.
+
+int32 storage: `relax` builds the start pile c + Ds in int64, then keeps
+its arrays in int32 when B = N + sum((i+1) * max(0, -b_i)) over that pile
+is below 2**31 (`_storage`), in int64 otherwise.  B bounds every value the
+passes compute.  Every firing, column 0's included (its p grains leave at
+weight 0), conserves sum((i+1) * b_i) = N, so every full pass does.  A cell
+at 0 or above fires floor(b/(p+1)) times and stays at 0 or above; a
+negative cell never fires and only gains.  So sum((i+1) * max(0, -b_i))
+never grows, and after every pass each entry is at most
+sum((i+1) * max(0, b_i)) = N + that sum <= B, and at least its start value,
+which is at least N - B.  Within a pass, (p+1)*f and p*f are at most the
+firing cell's value, and a cell goes from its value less (p+1)*f, at least
+min(0, its value), through the two adds of p*f and f >= 0 to its value
+after the pass.  So |every value| <= B.  An overshooting guess is covered
+too, since B is taken over the start pile itself.
 """
 
 from __future__ import annotations
@@ -334,51 +349,72 @@ def worklist(b: list[int], p: int, limit: int, seed: int | None = None) -> int:
     return total
 
 
+def _storage(grains: int, pile: np.ndarray) -> type[np.signedinteger]:
+    """int32 if the bound B = N + sum((i+1) * max(0, -pile[i])) on every value a
+    relaxation of `pile` (N = `grains`) computes fits it, else int64 (module docstring)."""
+    neg = np.flatnonzero(pile < 0)
+    bound = grains - sum(map(int.__mul__, (neg + 1).tolist(), pile[neg].tolist()))
+    return np.int32 if bound <= np.iinfo(np.int32).max else np.int64
+
+
 def relax(grains: int, p: int, start: np.ndarray | tuple[int, ...] = ()) -> list[int]:
     """Batched stabilization of `grains` on column 0: the final configuration, trimmed.
 
     Equivalent to any sequential strategy by confluence; used as the fast
     path for single-pile runs with many grains.  `start`, a non-negative
-    firing vector s (empty for the bare pile), is the first pass: the loop
-    then relaxes the pile plus Ds.  Only columns above p fire, so entries
+    firing vector s (empty for the bare pile), is applied first, in int64:
+    the loop then relaxes the pile plus Ds, in int32 when the bound of the
+    module docstring fits it.  Only columns above p fire, so entries
     that s drove negative stay put.  The passes run on a growing view of
-    m columns, from m = len(s) + p + 1 (at most cap - p, cap = `support_cap`);
-    every pass fires enabled columns only, so m does not change the
-    result.  A spill past `support_cap` raises Inconsistent: from s <= u
+    m columns, from m = len(s) + p + 1 (at most cap - p, cap = `support_cap`),
+    two passes per stop test; every pass fires enabled columns only, so m
+    does not change the result, and nothing is written past the view's
+    margin.  A spill past `support_cap` raises Inconsistent: from s <= u
     it would mean that bound is wrong, from a larger s that s overshot.
     There is no firing budget here: `pile_with_shots` charges the decided
     total.
     """
     pp1 = p + 1
     cap = support_cap(grains, p)
+    top = cap - p
+    n = len(start)
+    if n > top:  # its last column would fire a grain past the bound
+        raise Inconsistent("start vector spills past the support bound")
     arr = np.zeros(cap, dtype=np.int64)
     arr[0] = grains
-    t = np.zeros(cap, dtype=np.int64)
-    tmp = np.empty(cap, dtype=np.int64)
-    top = cap - p
-    if len(start) > top:  # its last column would fire a grain past the bound
-        raise Inconsistent("start vector spills past the support bound")
-    t[: len(start)] = start
-    m = min(len(start) + pp1, top)
-    while True:
+    if n:  # the start pile c + Ds, in int64
+        start = np.asarray(start, dtype=np.int64)
+        arr[:n] -= pp1 * start
+        arr[: n - 1] += p * start[1:]
+        arr[p : n + p] += start
+    dtype = _storage(grains, arr)
+    arr = arr.astype(dtype, copy=False)
+    t = np.zeros(cap, dtype=dtype)
+    tmp = np.empty(cap, dtype=dtype)
+    sp, spp1, zero = dtype(p), dtype(pp1), dtype(0)  # a Python int operand is converted per call
+    mul, sub, add, fdiv, clip, count = (
+        np.multiply, np.subtract, np.add, np.floor_divide, np.maximum, np.count_nonzero)
+    m = min(n + pp1, top)
+    while True:  # t is 0 here, so each view's first pass only fills it
         a, f, s = arr[:m], t[:m], tmp[:m]
-        left, right, gain = arr[: m - 1], arr[p : m + p], s[1:]
+        f1, left, right, gain = f[1:], arr[: m - 1], arr[p : m + p], s[1:]
         while True:
-            np.multiply(f, pp1, out=s)
-            np.subtract(a, s, out=a)
-            np.multiply(f[1:], p, out=gain)
-            np.add(left, gain, out=left)
-            np.add(right, f, out=right)
-            np.floor_divide(a, pp1, out=f)
-            np.maximum(f, 0, out=f)
-            if not np.count_nonzero(f):
+            for _ in range(2):  # a pass with f = 0 changes nothing
+                mul(f, spp1, out=s)
+                sub(a, s, out=a)
+                mul(f1, sp, out=gain)
+                add(left, gain, out=left)
+                add(right, f, out=right)
+                fdiv(a, spp1, out=f)
+                clip(f, zero, out=f)
+            if not count(f):
                 break
         if m == top or arr[m : m + p].max() <= p:
             break
-        m = min(2 * m, top)  # t is 0 here, so the wider view's first pass only refills it
+        m = min(2 * m, top)
     if arr[-(p + 2) :].any():
         raise Inconsistent("relaxation spilled past the proven support bound")
-    b = arr.tolist()
+    b = arr[: m + p].tolist()  # no pass writes past the view's margin
     trim(b)
     return b
 
@@ -472,17 +508,18 @@ def pile_with_shots(grains: int, p: int, limit: int) -> tuple[list[int], list[in
     if grains < cutoff or support_cap(grains, p) > _RELAX_MAX_CELLS:
         b = [grains] if grains else []
         leftmost(b, p, limit)
+        shots = odometer(b, grains, p)
     else:
         sub = grains // _WARM_RATIO
         quarter = pile_with_shots(sub, p, limit)[1]
         try:
             b = relax(grains, p, _estimate(quarter, sub, grains, p))
-            w = odometer(b, grains, p)
+            shots = odometer(b, grains, p)
         except Inconsistent:
-            w = None
-        if w is None or not certify(b, p, w):
+            shots = None
+        if shots is None or not certify(b, p, shots):
             b = relax(grains, p, _WARM_RATIO * np.array(quarter, dtype=np.int64))
-    shots = odometer(b, grains, p)
+            shots = odometer(b, grains, p)
     total = sum(shots)
     if total > limit:
         raise WorkLimitExceeded(f"firing budget {limit} exceeded")

@@ -1,6 +1,7 @@
 """The warm-started relaxation against a relaxation of the bare pile and the leftmost
-loop, its growing view, its certificate, its fallback from 4*u(N//4) and that start's
-premise, the avalanche kernel, and the firing order of the worklist loop."""
+loop, its growing view, its int32 storage bound, its certificate, its fallback from
+4*u(N//4) and that start's premise, the avalanche kernel, and the firing order of the
+worklist loop."""
 
 import functools
 import itertools
@@ -54,6 +55,41 @@ def test_starts_that_grow_the_view(p, n):
     u = np.array(_engine.odometer(b, n, p), dtype=np.int64)
     for start in (u[:0], u[:1], u[: len(u) // 2], u[:-1], u // 2):
         assert _engine.relax(n, p, start) == b
+
+
+@pytest.mark.parametrize("p", range(1, 7))
+@pytest.mark.parametrize("n", [4096, 16385, 2**17 + 300])
+def test_int64_storage_relaxes_alike(monkeypatch, p, n):
+    """The bare, the warm and the 4*u(N//4) start relax to the same pile with the
+    storage `_storage` picks (int32 here) and with int64 forced."""
+    quarter = _engine.pile_with_shots(n // 4, p, LIMIT)[1]
+    starts = [(), _engine._estimate(quarter, n // 4, n, p), 4 * np.array(quarter, dtype=np.int64)]
+    picked, storage = [], _engine._storage
+
+    def record_storage(grains, pile):
+        picked.append((storage(grains, pile), reference.trim(pile.tolist())))
+        return picked[-1][0]
+
+    monkeypatch.setattr(_engine, "_storage", record_storage)
+    piles = [_engine.relax(n, p, start) for start in starts]
+    # relax judges the start pile c + Ds itself, and each fits int32
+    assert picked == [(np.int32, reference.trim(pushed([n], p, start))) for start in starts]
+    monkeypatch.setattr(_engine, "_storage", lambda grains, pile: np.int64)
+    assert [_engine.relax(n, p, start) for start in starts] == piles
+
+
+def test_storage_bound_at_2_31():
+    """B = N + sum((i+1) * max(0, -b_i)) over the start pile: int32 up to 2**31 - 1."""
+    g = 1_000_003  # with s = (0, x) at p = 2 the pile is (g + 2x, -3x, 0, x): B = g + 6x
+    x = (2**31 - 1 - g) // 6
+    for grains, pile, dtype in [
+        (2**31 - 1, [2**31 - 1], np.int32),
+        (2**31, [2**31], np.int64),
+        (g, pushed([g], 2, [0, x]), np.int32),
+        (g + 1, pushed([g + 1], 2, [0, x]), np.int64),
+        (g, pushed([g], 2, [0, x + 1]), np.int64),
+    ]:
+        assert _engine._storage(grains, np.array(pile, dtype=np.int64)) is dtype, (grains, pile)
 
 
 def test_budget_counts_the_shot_vector():
