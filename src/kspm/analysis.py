@@ -126,12 +126,16 @@ def match_theorem1(c: Configuration) -> int:
 def match_theorem2(c: Configuration) -> int:
     """Smallest n whose suffix is waves, at most one lone zero between two
     wave blocks, waves again, then 0^omega."""
-    s, _, tight = _scan(c)
-    return len(s) - tight.match(s).end()
+    return _tight_index(_stable(c), c.params.p)
 
 
-# the density bound's name for the tight index; an alias, not a wrapper, since
-# check_density calls it once per grain
+def _tight_index(b: Sequence[int], p: int) -> int:
+    """`match_theorem2` of a pile the caller knows is stable, with no copy or check."""
+    s = "".join(map(chr, reversed(b)))
+    return len(s) - _forms(p)[1].match(s).end()
+
+
+# the density bound's name for the tight index
 emergence_index = match_theorem2
 
 
@@ -182,6 +186,11 @@ def support_report(
 
 
 def support_bounds(grains: int, p: int, width: int) -> SupportReport:
+    return SupportReport(grains, width, *_support_limits(grains, p))
+
+
+def _support_limits(grains: int, p: int) -> tuple[float, float]:
+    """(lower, upper): a width w holds when lower < w < upper."""
     root = math.sqrt(grains)
-    return SupportReport(grains, width, root / p - 1.0, (p + 1) * root + p + 1.0)
+    return root / p - 1.0, (p + 1) * root + p + 1.0
 

@@ -20,7 +20,8 @@ this into the averaging system on Z^p,
 
     Y_{n+1} = shift up, append mean(Y_n) + b_n / p,
 
-whose state Y_n is the vector of consecutive shot-vector differences.
+whose state Y_n is the vector of consecutive shot-vector differences, so
+`trajectory_of` reads each Y_n off them and checks each step in O(1).
 All dynamics here stay in exact integer arithmetic; floating point
 appears only in `spectrum`, which checks the eigenvalue claims behind the
 contraction argument (roots of R, spectral radius of the mean-centered
@@ -72,9 +73,14 @@ class ShotVector:
 
     def fixed_point(self) -> Configuration:
         """Rebuild pi(N) from the counts by the identity forwards; `_engine.odometer` inverts it."""
-        width = len(self.counts) + self.params.p
-        diffs = [self.height_diff(n) for n in range(width)]
+        p, a = self.params.p, self._padded()
+        diffs = [a[n] - (p + 1) * a[n + p] + p * a[n + p + 1] for n in range(len(self.counts) + p)]
         return Configuration(tuple(diffs), self.params)
+
+    def _padded(self) -> list[int]:
+        """a_{-p} .. a_{len(counts) + 2p} as a plain list, a_i at index i + p."""
+        p = self.params.p
+        return [self.grains, *[0] * (p - 1), *self.counts, *[0] * (2 * p + 1)]
 
     def x_vector(self, n: int) -> "XVector":
         p = self.params.p
@@ -194,8 +200,8 @@ def avg_trajectory(
 ) -> list[AvgVector]:
     """Y_0, Y_1, ... driven by the fixed point's height differences.
 
-    Y_0 = (-N, 0, ..., 0, a_0); each entry is cross-checked against the
-    matching difference slice of the simulated shot vector, so a mismatch
+    Y_0 = (-N, 0, ..., 0, a_0); each state is a difference slice of the
+    simulated shot vector, checked against the averaging step, so a mismatch
     (Inconsistent) means a bug, not bad input.  The trajectory runs to
     width + p, by which point it is the constant zero vector.
     """
@@ -206,20 +212,24 @@ def avg_trajectory(
 def trajectory_of(pi: Configuration, sv: ShotVector, params: Params) -> list[AvgVector]:
     """The averaging trajectory of `avg_trajectory` from an existing
     fixed point pi(N), N >= 1, and its shot vector; InvalidParameter unless
-    sv has these params and rebuilds pi."""
+    sv has these params and rebuilds pi (the identity, checked once).  Then
+    Y_n is d[n : n + p], with d[i + p] = a_{i+1} - a_i, and each step is
+    checked in O(1) on a running sum: sum(Y_n) + b_n = p (a_{n+1} - a_n)."""
     check_grains(sv.grains, 1)
     if sv.params != params or sv.fixed_point() != pi:
         raise InvalidParameter("shot vector does not match the fixed point and params")
-    diffs = pi.diffs
-    stop = len(diffs) + params.p
-    y = sv.avg_vector(0)
-    traj = [y]
-    for n in range(stop):
-        b_n = diffs[n] if n < len(diffs) else 0
-        y = avg_step(y, b_n, params)
-        if y != sv.avg_vector(n + 1):
+    p = params.p
+    a = sv._padded()  # reaches a_{width + p}: sv rebuilds pi, so width <= len(counts) + p
+    d = [y - x for x, y in zip(a, a[1:])]
+    total = sum(d[:p])  # sum(Y_n)
+    traj = [AvgVector(tuple(d[:p]))]
+    for n, b_n in enumerate(pi.diffs + (0,) * p):
+        if not 0 <= b_n <= p:
+            raise InvalidParameter(f"b must be an int in 0..{p}, got {b_n!r}")
+        if total + b_n != p * d[n + p]:
             raise Inconsistent(f"averaging step and shot-vector slice differ at n={n + 1}")
-        traj.append(y)
+        total += d[n + p] - d[n]
+        traj.append(AvgVector(tuple(d[n + 1 : n + p + 1])))
     return traj
 
 

@@ -5,7 +5,8 @@ CheckResult per cell: pass/fail, a human-readable detail, and a
 serializable counterexample on failure.  Suites are deterministic
 (random strategies derive their seeds from an explicit base seed) and
 sequential; cells are independent, so callers may shard them if they
-want parallelism.
+want parallelism.  The support and density suites read each pile of
+`avalanche.steps` in place, in plain ints, with no copy or object per grain.
 """
 
 from __future__ import annotations
@@ -106,14 +107,13 @@ def check_support(p: int, n_max: int, work_limit: int = DEFAULT_WORK_LIMIT) -> C
     name = f"support p={p}"
     Params(p)
     for k, *_, b in avalanche.steps(n_max, p, work_limit):
-        report = analysis.support_bounds(k, p, len(b))
-        if not report.holds:
+        lower, upper = analysis._support_limits(k, p)
+        if not lower < len(b) < upper:
             return CheckResult(
                 name,
                 False,
-                f"width {report.width} outside ({report.lower:.3f}, {report.upper:.3f}) at N={k}",
-                {"p": p, "N": k, "width": report.width,
-                 "lower": report.lower, "upper": report.upper},
+                f"width {len(b)} outside ({lower:.3f}, {upper:.3f}) at N={k}",
+                {"p": p, "N": k, "width": len(b), "lower": lower, "upper": upper},
             )
     return CheckResult(name, True, f"N<=n_max={n_max}: all widths strictly inside bounds")
 
@@ -218,7 +218,7 @@ def check_density(p: int, n_max: int, work_limit: int = DEFAULT_WORK_LIMIT) -> C
     Also records the running maximum L(p, N) at power-of-two checkpoints.
     """
     name = f"density p={p}"
-    params = Params(p)
+    Params(p)
     l_global = 0
     checkpoints: dict[int, int] = {}
     prev_emergence = 0  # empty pile matches everywhere
@@ -235,8 +235,7 @@ def check_density(p: int, n_max: int, work_limit: int = DEFAULT_WORK_LIMIT) -> C
             l_global = lp
         if k & (k - 1) == 0:
             checkpoints[k] = l_global
-        cfg = Configuration._trusted(tuple(b), params)
-        prev_emergence = analysis.emergence_index(cfg)
+        prev_emergence = analysis._tight_index(b, p)  # stable: the kernel's proof
     checkpoints[n_max] = l_global
     return CheckResult(
         name, True,

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from kspm import (
     Configuration,
+    analysis,
     HeightProfile,
     Params,
     decompose_suffix,
@@ -20,6 +21,7 @@ from kspm import (
     support_report,
     wave_report,
 )
+from kspm.avalanche import steps
 from kspm._engine import DEFAULT_WORK_LIMIT, max_plateau_over_trajectory, pile_with_shots
 from kspm.errors import IndexOutOfRange, InvalidParameter, NotStable, WorkLimitExceeded
 from kspm.verify import rebuild_suffix
@@ -225,6 +227,12 @@ class TestEmergenceIndex:
     def test_all_zero(self):
         assert emergence_index(cfg([], 2)) == 0
 
+    @pytest.mark.parametrize("p, grains", [*((p, 3000) for p in range(1, 7)), (13, 1000)])
+    def test_density_index_at_every_scan_pile(self, p, grains):
+        """The index `check_density` reads off `steps`' live pile, against the public matcher."""
+        for *_, b in steps(grains, p):
+            assert analysis._tight_index(b, p) == emergence_index(cfg(b, p))
+
 
 class TestMaxPlateau:
     def test_pair(self):
@@ -283,4 +291,15 @@ class TestSupportReport:
 
     def test_json(self):
         assert '"width":5' in support_report(24, Params(2)).to_json()
+
+    @pytest.mark.parametrize("p", range(1, 7))
+    def test_support_predicate_against_report(self, p):
+        """`check_support`'s lower < w < upper against `support_bounds`, at the
+        floor and ceiling of each bound, and the bounds against their formulas."""
+        for k in range(1, 3001):
+            lower, upper = analysis._support_limits(k, p)
+            root = math.sqrt(k)
+            assert (lower, upper) == (root / p - 1.0, (p + 1) * root + p + 1.0)
+            for w in {math.floor(lower), math.ceil(lower), math.floor(upper), math.ceil(upper)}:
+                assert (lower < w < upper) == analysis.support_bounds(k, p, w).holds
 

@@ -9,6 +9,7 @@ from kspm import (
     AvgVector,
     Configuration,
     Params,
+    ShotVector,
     XVector,
     avg_step,
     avg_trajectory,
@@ -282,6 +283,38 @@ class TestAvgTrajectory:
         sv = pile(sv_of[0], Params(sv_of[1]))[1]
         with pytest.raises(InvalidParameter):
             trajectory_of(pi, sv, Params(params))
+
+
+    @pytest.mark.parametrize(
+        "p, n", [*((p, n) for p in range(1, 7) for n in (1, 24, 777, 4097)), (2, 2**17 + 300)])
+    def test_against_stepwise_reference(self, p, n):
+        """Every state equals the one `avg_step` reaches from `sv.avg_vector(0)`."""
+        params = Params(p)
+        pi, sv = pile(n, params)
+        expected = [sv.avg_vector(0)]
+        for b_n in pi.diffs + (0,) * p:
+            expected.append(avg_step(expected[-1], b_n, params))
+        assert trajectory_of(pi, sv, params) == expected
+
+    @pytest.mark.parametrize("p", range(1, 7))
+    def test_unstable_pile_rejected(self, p):
+        """An unstable pi with the shot vector that rebuilds it: b_0 = p + 1 is outside 0..p."""
+        params = Params(p)
+        pi, sv = Configuration((p + 1,), params), ShotVector((), p + 1, params)
+        assert sv.fixed_point() == pi
+        with pytest.raises(InvalidParameter, match=rf"b must be an int in 0\.\.{p}, got {p + 1}"):
+            trajectory_of(pi, sv, params)
+
+    def test_check_order(self):
+        """The grain count first, then the pair's match, then each b_n in order."""
+        params = Params(2)
+        empty = Configuration((), params)
+        with pytest.raises(InvalidParameter, match="grain count must be an int >= 1, got 0"):
+            trajectory_of(empty, ShotVector((), 0, params), params)
+        with pytest.raises(InvalidParameter, match="grain count must be an int >= 1, got 0"):
+            trajectory_of(empty, ShotVector((), 0, Params(3)), params)
+        with pytest.raises(InvalidParameter, match="shot vector does not match"):
+            trajectory_of(Configuration((3,), params), ShotVector((), 4, params), params)
 
 
 class TestFirstConstantIndex:

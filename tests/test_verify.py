@@ -4,7 +4,7 @@ import threading
 
 import pytest
 
-from kspm import Params, analysis, dds, fixed_point, incremental_scan
+from kspm import Params, analysis, avalanche, dds, fixed_point, incremental_scan
 from kspm.errors import InvalidParameter, WorkLimitExceeded
 from kspm.verify import (
     check_confluence,
@@ -78,6 +78,102 @@ class TestLinkageSubstance:
         assert check_linkage(p, range(1, 401)).passed
 
 
+def _steps_with(edit):
+    """`avalanche.steps` with `edit(k, step)` applied to each step; a None edit stops there."""
+    real = avalanche.steps
+
+    def steps(grains, p, work_limit):
+        for k, *step in real(grains, p, work_limit):
+            step = edit(k, [k, *step])
+            if step is None:
+                return
+            yield tuple(step)
+
+    return steps
+
+
+class TestFailPaths:
+    """Each FAIL's line, detail and counterexample, forced by feeding the suite bad data."""
+
+    @pytest.mark.parametrize(
+        "p, n_max, k_bad, width, line, counterexample",
+        [
+            (2, 300, 100, 33, "FAIL: support p=2 width 33 outside (4.000, 33.000) at N=100",
+             {"p": 2, "N": 100, "width": 33, "lower": 4.0, "upper": 33.0}),
+            (3, 300, 37, 29, "FAIL: support p=3 width 29 outside (1.028, 28.331) at N=37",
+             {"p": 3, "N": 37, "width": 29, "lower": 1.0275875100994063,
+              "upper": 28.331050121192877}),
+            (2, 3000, 2500, 24, "FAIL: support p=2 width 24 outside (24.000, 153.000) at N=2500",
+             {"p": 2, "N": 2500, "width": 24, "lower": 24.0, "upper": 153.0}),
+            (3, 3000, 2000, 13, "FAIL: support p=3 width 13 outside (13.907, 182.885) at N=2000",
+             {"p": 3, "N": 2000, "width": 13, "lower": 13.9071198499986,
+              "upper": 182.88543819998318}),
+        ],
+        ids=["wide-p2", "wide-p3", "narrow-p2", "narrow-p3"],
+    )
+    def test_support(self, monkeypatch, p, n_max, k_bad, width, line, counterexample):
+        # the pile at k_bad padded to the first width at or past the upper
+        # bound, or cut to the last width at or below the lower one
+        def edit(k, step):
+            if k < k_bad:
+                return step
+            if k > k_bad:
+                return None
+            b = step[-1]
+            step[-1] = b[:width] + [1] * (width - len(b))
+            return step
+
+        monkeypatch.setattr(avalanche, "steps", _steps_with(edit))
+        result = check_support(p, n_max)
+        assert not result.passed
+        assert result.line() == line
+        assert result.detail == line.split(f"support p={p} ", 1)[1]
+        assert result.counterexample == counterexample
+
+    @pytest.mark.parametrize(
+        "p, k_bad, line, counterexample",
+        [
+            (2, 98, "FAIL: density p=2 L'=54 > emergence(pi(97)) + p + 1 = 10 at k=98",
+             {"p": 2, "k": 98, "l_prime": 54, "bound": 10, "prev_emergence": 7,
+              "fired": [0, 2, 4, 6, 5, 7]}),
+            (3, 138, "FAIL: density p=3 L'=52 > emergence(pi(137)) + p + 1 = 14 at k=138",
+             {"p": 3, "k": 138, "l_prime": 52, "bound": 14, "prev_emergence": 10,
+              "fired": [0, 3, 2, 6, 5, 4, 7, 8]}),
+        ],
+    )
+    def test_density(self, monkeypatch, p, k_bad, line, counterexample):
+        def edit(k, step):  # L' moved 50 columns right at k_bad
+            if k == k_bad:
+                step[2] += 50
+            return step
+
+        monkeypatch.setattr(avalanche, "steps", _steps_with(edit))
+        result = check_density(p, 200)
+        assert not result.passed
+        assert result.line() == line
+        assert result.detail == line.split(f"density p={p} ", 1)[1]
+        assert result.counterexample == counterexample
+        assert result.data == {}
+
+    def test_linkage_without_constant_state(self, monkeypatch):
+        monkeypatch.setattr(dds, "first_constant_index", lambda traj: None)
+        result = check_linkage(2, [5, 24])
+        assert not result.passed
+        assert result.line() == "FAIL: linkage p=2 no constant averaging state for N=5"
+        assert result.detail == "no constant averaging state for N=5"
+        assert result.counterexample == {"p": 2, "N": 5}
+
+    def test_linkage_suffix_not_wavy(self, monkeypatch):
+        monkeypatch.setattr(dds, "first_constant_index", lambda traj: 0)
+        result = check_linkage(3, [24, 100])
+        assert not result.passed
+        assert result.line() == (
+            "FAIL: linkage p=3 suffix from first constant index 0 not wavy for N=24")
+        assert result.detail == "suffix from first constant index 0 not wavy for N=24"
+        assert result.counterexample == {
+            "p": 3, "N": 24, "first_constant_index": 0, "diffs": [0, 0, 3, 2, 0, 0, 1]}
+
+
 class TestEmptyRanges:
     @pytest.mark.parametrize(
         "check, args",
@@ -88,6 +184,8 @@ class TestEmptyRanges:
             pytest.param(check_spectrum, (1,), id="spectrum"),
             pytest.param(check_linkage, (2, []), id="linkage"),
             pytest.param(check_waves, (2, 0), id="waves"),
+            pytest.param(check_support, (2, 0), id="support"),
+            pytest.param(check_density, (2, 0), id="density"),
         ],
     )
     def test_raises_instead_of_passing(self, check, args):
