@@ -49,8 +49,8 @@ has no fired right neighbour, so it held p, and its fired left source
 puts it in (M, M+p].  The net change is O(p), after p firings: b[i] += p,
 b[M] -= p, (M, M+p] gain one, and each column between gives and gets
 p+1.  In order, each y in (i, M) that held p, then M, fires y, y-1, ...
-down to the previous one + 1; those columns end as they began, so `tail`
-reads the order off the final pile.
+down to the previous one + 1; those columns end as they began, so
+`firing_order` reads the order off the final pile.
 
 M is found with one search over a byte mask, mask[x] == (b[x] == p) and 0
 past the end of b, which the caller keeps beside b from grain to grain.
@@ -131,6 +131,7 @@ from __future__ import annotations
 
 import math
 import random
+from typing import Sequence
 
 import numpy as np
 
@@ -294,9 +295,10 @@ def avalanche(b: list[int], p: int, mask: bytearray | None = None) -> tuple[list
     return head, start, top
 
 
-def tail(b: list[int], p: int, top: int, last: int) -> list[int]:
-    """Firing order of the dense tail (top, last], read off the pile the avalanche left."""
-    fired: list[int] = []
+def firing_order(b: Sequence[int], p: int, head: Sequence[int], last: int) -> list[int]:
+    """Whole firing order of the avalanche (head, _, last): head, then the dense tail
+    (max(head), last] read off the pile b it left; [] for the empty one ([], _, -1)."""
+    fired, top = [*head], max(head, default=-1)
     for y in [y for y in range(top + 1, last) if b[y] == p] + [last]:
         fired.extend(range(y, top, -1))
         top = y
@@ -318,9 +320,7 @@ def worklist(b: list[int], p: int, limit: int, seed: int | None = None) -> int:
     total = 0
     while enabled:
         n = len(enabled)
-        j = int(rnd() * n) if rnd else n - 1
-        if j == n:  # guard against float rounding
-            j -= 1
+        j = int(rnd() * n) if rnd else n - 1  # random() <= 1 - 2**-53: j < n to 2**53
         i = enabled[j]
         total += 1
         if total > limit:

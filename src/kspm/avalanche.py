@@ -114,7 +114,7 @@ def run_avalanche(
     p = c.params.p
     b = list(add_grain(c).diffs)
     head, _, last = _engine.avalanche(b, p) if b[0] > p else ([], 0, -1)
-    fired = _fired(head, last, b, p)
+    fired = _engine.firing_order(b, p, head, last)
     if len(fired) > work_limit:
         raise WorkLimitExceeded(f"firing budget {work_limit} exceeded")
     return Avalanche(k, tuple(fired)), Configuration._trusted(tuple(b), c.params)
@@ -132,11 +132,6 @@ def density_column(a: Avalanche) -> DensityReport:
     return DensityReport(a.k, hs[-1] + 1 if hs else 0, a.max_fired)
 
 
-def _fired(head: Sequence[int], last: int, b: Sequence[int], p: int) -> list[int]:
-    # the whole firing order; b must be the pile the avalanche just left
-    return [*head, *_engine.tail(b, p, max(head), last)] if head else []
-
-
 def steps(
     grains: int, p: int, work_limit: int = DEFAULT_WORK_LIMIT
 ) -> Iterator[tuple[int, list[int], int, int, list[int]]]:
@@ -145,8 +140,8 @@ def steps(
     `head` lists the columns fired one at a time while absorbing grain k, in
     order; each column of (max(head), last] fired once after them, and
     lp = L'(p, k) (an empty avalanche is ([], 0, -1)).  `b` is the live
-    pile, which the next step mutates:
-    copy it, or rebuild the tail's order from it, before resuming.  The
+    pile, which the next step mutates: copy it, or read the whole firing
+    order off it with `_engine.firing_order`, before resuming.  The
     kernel's mask of the cells at p lives beside b across grains.  The
     firing budget covers the whole scan and is charged after each avalanche.
     """
@@ -187,7 +182,7 @@ def incremental_scan(
         if lp > l_global:
             l_global = lp
         if sink is not None:
-            sink(k, Avalanche(k, tuple(_fired(head, last, b, params.p))),
+            sink(k, Avalanche(k, tuple(_engine.firing_order(b, params.p, head, last))),
                  Configuration._trusted(tuple(b), params))
     final = Configuration._trusted(tuple(b), params)
     return ScanSummary(grains, params, l_global, total, max_avalanche, final)
@@ -214,7 +209,9 @@ ROWS: dict[str, Callable[[int, Sequence[int], int, int, Sequence[int], int], str
         f"{k},{len(h) + last - max(h)},{last},{lp},{len(b)}" if h else f"{k},0,,0,{len(b)}"
     ),
     "json": lambda k, h, lp, last, b, p: (
-        f'{{"k":{k},"fired":[{",".join(map(str, _fired(h, last, b, p)))}]}}'
+        f'{{"k":{k},"fired":[{",".join(map(str, _engine.firing_order(b, p, h, last)))}]}}'
     ),
-    "text": lambda k, h, lp, last, b, p: f"{k}: {' '.join(map(str, _fired(h, last, b, p)))}",
+    "text": lambda k, h, lp, last, b, p: (
+        f"{k}: {' '.join(map(str, _engine.firing_order(b, p, h, last)))}"
+    ),
 }

@@ -263,7 +263,12 @@ def fixed_point(
     grains: int, params: Params, work_limit: int = DEFAULT_WORK_LIMIT
 ) -> Configuration:
     """Fixed point of `grains` stacked on column 0."""
+    return _single_pile(grains, params, work_limit)[0]
+
+
+def _single_pile(grains: int, params: Params, work_limit: int) -> tuple[Configuration, list[int]]:
+    """The checked entry for the single pile: (pi(grains), its shot vector)."""
     check_grains(grains, p=params.p)
     check_limit(work_limit)
-    b, _, _ = _engine.pile_with_shots(grains, params.p, work_limit)
-    return Configuration._trusted(tuple(b), params)
+    b, shots, _ = _engine.pile_with_shots(grains, params.p, work_limit)
+    return Configuration._trusted(tuple(b), params), shots

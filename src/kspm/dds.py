@@ -35,8 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _engine
-from .core import Configuration, DEFAULT_WORK_LIMIT, Params, check_grains, check_limit
+from .core import Configuration, DEFAULT_WORK_LIMIT, Params, _single_pile, check_grains
 from .errors import (
     Inconsistent,
     IndexOutOfRange,
@@ -65,11 +64,6 @@ class ShotVector:
         if i > -self.params.p:
             return 0
         raise IndexOutOfRange(f"index {i} below -p = {-self.params.p}")
-
-    def height_diff(self, n: int) -> int:
-        """b_n of the fixed point, reconstructed from the firing counts."""
-        p = self.params.p
-        return self.a(n - p) - (p + 1) * self.a(n) + p * self.a(n + 1)
 
     def fixed_point(self) -> Configuration:
         """Rebuild pi(N) from the counts by the identity forwards; `_engine.odometer` inverts it."""
@@ -107,7 +101,7 @@ class AvgVector:
     entries: tuple[int, ...]
 
     def is_constant(self) -> bool:
-        return all(v == self.entries[0] for v in self.entries)
+        return len(set(self.entries)) <= 1
 
     def mean_numerator(self) -> int:
         """Sum of entries: the mean times p, kept exact."""
@@ -133,13 +127,8 @@ def pile(
     grains: int, params: Params, work_limit: int = DEFAULT_WORK_LIMIT
 ) -> tuple[Configuration, ShotVector]:
     """Fixed point and shot vector of `grains` on column 0, from one run."""
-    check_grains(grains, p=params.p)
-    check_limit(work_limit)
-    b, shots, _ = _engine.pile_with_shots(grains, params.p, work_limit)
-    return (
-        Configuration._trusted(tuple(b), params),
-        ShotVector(tuple(shots), grains, params),
-    )
+    pi, shots = _single_pile(grains, params, work_limit)
+    return pi, ShotVector(tuple(shots), grains, params)
 
 
 def shot_vector(

@@ -229,7 +229,7 @@ def check_density(p: int, n_max: int, work_limit: int = DEFAULT_WORK_LIMIT) -> C
                 name, False,
                 f"L'={lp} > emergence(pi({k - 1})) + p + 1 = {bound} at k={k}",
                 {"p": p, "k": k, "l_prime": lp, "bound": bound,
-                 "prev_emergence": prev_emergence, "fired": avalanche._fired(head, last, b, p)},
+                 "prev_emergence": prev_emergence, "fired": _engine.firing_order(b, p, head, last)},
             )
         if lp > l_global:
             l_global = lp

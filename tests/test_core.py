@@ -12,6 +12,7 @@ from kspm import (
     incremental_scan,
     pile,
     run_avalanche,
+    shot_vector,
     stabilize,
     verify,
 )
@@ -20,6 +21,7 @@ from kspm.errors import (
     FiringNotEnabled,
     IndexOutOfRange,
     InvalidParameter,
+    KSPMError,
     NotMonotone,
     WorkLimitExceeded,
 )
@@ -443,3 +445,48 @@ def test_work_limit_must_be_an_int_at_least_1(entry, limit):
     # the rule KSPM_WORK_LIMIT follows; a bad budget is not an exceeded one
     with pytest.raises(InvalidParameter):
         LIMITED_ENTRIES[entry](limit)
+
+
+SINGLE_PILE_ENTRIES = {"fixed_point": fixed_point, "pile": pile, "shot_vector": shot_vector}
+
+
+def _single_pile_errors(grains, p=2, work_limit=10**10):
+    """(type, message) of what each single-pile entry raises for these arguments."""
+    got = {}
+    for name, entry in SINGLE_PILE_ENTRIES.items():
+        with pytest.raises(KSPMError) as info:
+            entry(grains, Params(p), work_limit)
+        got[name] = (type(info.value), str(info.value))
+    return got
+
+
+@pytest.mark.parametrize(
+    "grains, message",
+    [
+        (-1, "grain count must be an int >= 0, got -1"),
+        (10.5, "grain count must be an int >= 0, got 10.5"),
+        (True, "grain count must be an int >= 0, got True"),
+        ("5", "grain count must be an int >= 0, got '5'"),
+        ((1 << 40) + 1, "grain count 1099511627777 exceeds limit 2**40"),
+    ],
+)
+def test_single_pile_entries_reject_grains_alike(grains, message):
+    errors = _single_pile_errors(grains)
+    assert set(errors.values()) == {(InvalidParameter, message)}, errors
+
+
+def test_single_pile_entries_reject_p_wider_than_cell_limit_alike(monkeypatch):
+    from kspm import _engine
+
+    monkeypatch.setattr(_engine, "_RELAX_MAX_CELLS", 1000)
+    p = 2000
+    message = f"p={p} with {p + 1} grains needs {p + 1} columns, more than the limit 1000"
+    errors = _single_pile_errors(p + 1, p)
+    assert set(errors.values()) == {(InvalidParameter, message)}, errors
+
+
+@pytest.mark.parametrize("limit", [0, None, True])
+def test_single_pile_entries_reject_work_limits_alike(limit):
+    errors = _single_pile_errors(24, work_limit=limit)
+    message = f"firing budget must be an int >= 1, got {limit!r}"
+    assert set(errors.values()) == {(InvalidParameter, message)}, errors

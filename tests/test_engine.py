@@ -339,7 +339,7 @@ WAVY_CASES = st.integers(min_value=1, max_value=8).flatmap(lambda p: st.tuples(s
 
 
 class TestAvalancheKernel:
-    """`_engine.avalanche` and `_engine.tail` against the general leftmost loop on the same pile."""
+    """`_engine.avalanche` and `_engine.firing_order` against the general leftmost loop."""
 
     @staticmethod
     def check(b, p):
@@ -348,7 +348,7 @@ class TestAvalancheKernel:
         fired_ref: list[int] = []
         total = _engine.leftmost(ref, p, LIMIT, fired_ref)
         head, start, last = _engine.avalanche(b, p)
-        assert head + _engine.tail(b, p, max(head), last) == fired_ref
+        assert _engine.firing_order(b, p, head, last) == fired_ref
         assert start == lprime(fired_ref)
         assert b == ref
         assert len(head) + last - max(head) == total
@@ -389,7 +389,7 @@ class TestAvalancheKernel:
             fired: list[int] = []
             total = _engine.leftmost(ref, p, LIMIT, fired)
             assert b == ref, k
-            assert head + _engine.tail(b, p, max(head, default=-1), last) == fired
+            assert _engine.firing_order(b, p, head, last) == fired
             assert len(head) + last - max(head, default=-1) == total
             assert lp == lprime(fired), k
 
@@ -438,7 +438,7 @@ class TestAvalancheMask:
             fired: list[int] = []
             total = _engine.leftmost(ref, p, LIMIT, fired)
             assert b == ref, k
-            assert head + _engine.tail(b, p, max(head, default=-1), last) == fired
+            assert _engine.firing_order(b, p, head, last) == fired
             assert len(head) + last - max(head, default=-1) == total
             assert lp == lprime(fired), k
 
@@ -489,3 +489,35 @@ class TestWorklistOrder:
                 moves.append(pile.diffs())
             assert after in moves
         assert not reference.HeightPile(reference.heights_from_diffs(piles[-1]), p).enabled()
+
+
+class TestFiringOrder:
+    """`_engine.firing_order` on the arguments its callers pass besides a kernel step."""
+
+    @pytest.mark.parametrize("b", [[], [1], [2, 1, 2]])
+    def test_empty_avalanche(self, b):
+        assert _engine.firing_order(b, 2, [], -1) == []
+
+    @pytest.mark.parametrize("p", range(1, 5))
+    def test_full_list_with_last_at_its_max(self, p):
+        # how `kspm avalanche --k` calls ROWS: the whole order as head, an empty tail
+        seen = 0
+        for _, head, _, last, b in steps(600, p):
+            fired = _engine.firing_order(b, p, head, last)
+            if fired:
+                got = _engine.firing_order(b, p, tuple(fired), max(fired))
+                assert type(got) is list and got == fired
+                seen += last > max(head)
+        assert seen  # some of the lists came through the dense-tail step
+
+
+def test_worklist_draw_stays_below_n():
+    """`worklist` draws slot int(random() * n) of n; random() is at most 1 - 2**-53."""
+    top = 1 - 2**-53
+    n = np.arange(1, 2**20 + 1, dtype=np.float64)
+    assert (np.floor(n * top) == n - 1).all()
+    rnd = random.Random(20240601)
+    sample = [rnd.randrange(1, 2**53 + 1) for _ in range(20000)]
+    edges = [2**e + d for e in range(54) for d in (-1, 0, 1) if 1 <= 2**e + d <= 2**53]
+    for n in sample + edges:
+        assert int(top * n) == n - 1, n
