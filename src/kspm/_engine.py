@@ -76,7 +76,9 @@ a margin [m, m + p) that does not fire.  When the view is stable and a
 margin cell holds more than p, m doubles, up to the support bound;
 otherwise no column anywhere is enabled and the pile is the fixed point.
 The view starts p + 1 columns past the start vector, so warm passes
-cover about the final width, not the bound, several times wider.
+cover about the final width, not the bound, several times wider.  A pass
+clips its counts at 0 only while some cell is negative: only Ds makes one,
+and a cell at 0 or above stays at 0 or above (int32 storage below).
 
 No loop counts firings per column: `odometer` reads u >= 0 off a pile
 b = c + Du of N grains by b_n = u_{n-p} - (p+1)*u_n + p*u_{n+1},
@@ -101,7 +103,9 @@ stable piles have no negative difference, so u(a + b) >= u(a) + u(b)
 (relax a, then b on top) and u(N) >= 4*u(N//4).  From s <= u no pass
 takes w past u (a column with w_x = u_x holds at most (c + Du)_x <= p),
 and the loop stops only on a stable pile, where w >= u by least action:
-w = u, with no certificate.
+w = u, with no certificate.  So does `leftmost` below the cutoff, started
+from c + D(2*u(N//2)) = 2*pi(N//2) plus N mod 2 on column 0: a pile with
+no negative cell, and u(N) >= 2*u(N//2) by superadditivity.
 
 int64 bound: with N <= 2**40 grains, p*u_i <= N (column i moves p grains
 past itself per firing and grains never move left).  The guess is below
@@ -120,8 +124,8 @@ at 0 or above fires floor(b/(p+1)) times and stays at 0 or above; a
 negative cell never fires and only gains.  So sum((i+1) * max(0, -b_i))
 never grows, and after every pass each entry is at most
 sum((i+1) * max(0, b_i)) = N + that sum <= B, and at least its start value,
-which is at least N - B.  Within a pass, (p+1)*f and p*f are at most the
-firing cell's value, and a cell goes from its value less (p+1)*f, at least
+which is at least N - B.  Within a pass, p*f is at most the firing cell's
+value, and a cell goes from its value less p*f, then f, to at least
 min(0, its value), through the two adds of p*f and f >= 0 to its value
 after the pass.  So |every value| <= B.  An overshooting guess is covered
 too, since B is taken over the start pile itself.
@@ -143,7 +147,9 @@ DEFAULT_WORK_LIMIT = 10**10
 # int64 (transients are bounded by 5N) and makes resource use predictable.
 GRAIN_LIMIT = 1 << 40
 
-# Below this many grains (a quarter at p=1) the plain-Python leftmost loop beats numpy setup.
+# Below this many grains (a quarter at p=1) `_base` runs instead of a warm relax.  Against
+# it the warm relax wins from about 500 grains at p=1, 2,000 at p=2, 3,000 at p=3 and
+# 8,000 at p=5, and loses up to 8,192 at p=8: one cutoff for every p.
 _RELAX_CUTOFF = 4096
 
 # Largest dense array the batched path may preallocate (cells).  Huge p
@@ -365,7 +371,8 @@ def relax(grains: int, p: int, start: np.ndarray | tuple[int, ...] = ()) -> list
     firing vector s (empty for the bare pile), is applied first, in int64:
     the loop then relaxes the pile plus Ds, in int32 when the bound of the
     module docstring fits it.  Only columns above p fire, so entries
-    that s drove negative stay put.  The passes run on a growing view of
+    that s drove negative stay put; the counts are clipped at 0 only until
+    a stop test finds no negative cell.  The passes run on a growing view of
     m columns, from m = len(s) + p + 1 (at most cap - p, cap = `support_cap`),
     two passes per stop test; every pass fires enabled columns only, so m
     does not change the result, and nothing is written past the view's
@@ -394,21 +401,25 @@ def relax(grains: int, p: int, start: np.ndarray | tuple[int, ...] = ()) -> list
     sp, spp1, zero = dtype(p), dtype(pp1), dtype(0)  # a Python int operand is converted per call
     mul, sub, add, fdiv, clip, count = (
         np.multiply, np.subtract, np.add, np.floor_divide, np.maximum, np.count_nonzero)
+    neg = n and arr[:n].min() < 0  # only Ds makes cells negative, all in [0, n)
     m = min(n + pp1, top)
     while True:  # t is 0 here, so each view's first pass only fills it
         a, f, s = arr[:m], t[:m], tmp[:m]
-        f1, left, right, gain = f[1:], arr[: m - 1], arr[p : m + p], s[1:]
+        left, right, gain = arr[: m - 1], arr[p : m + p], s[1:]
         while True:
             for _ in range(2):  # a pass with f = 0 changes nothing
-                mul(f, spp1, out=s)
+                mul(f, sp, out=s)  # p*f serves both the firing cell and its left neighbour
                 sub(a, s, out=a)
-                mul(f1, sp, out=gain)
+                sub(a, f, out=a)
                 add(left, gain, out=left)
                 add(right, f, out=right)
                 fdiv(a, spp1, out=f)
-                clip(f, zero, out=f)
+                if neg:
+                    clip(f, zero, out=f)
             if not count(f):
                 break
+            if neg:
+                neg = a.min() < 0
         if m == top or arr[m : m + p].max() <= p:
             break
         m = min(2 * m, top)
@@ -495,19 +506,31 @@ def _estimate(shots: list[int], sub: int, grains: int, p: int) -> np.ndarray:
     return _sliding_min(np.pad(est, (p // 2, 0), "edge"), p + 1)[: len(est)].astype(np.int64)
 
 
+def _base(grains: int, p: int, limit: int) -> list[int]:
+    """Fixed point of `grains` on column 0 by `leftmost`, from c + D(2*u(grains // 2)):
+    twice the pile of half the grains, plus the odd grain on column 0 (module docstring)."""
+    if not grains:
+        return []
+    b = [2 * v for v in _base(grains // 2, p, limit)] or [0]
+    b[0] += grains % 2
+    leftmost(b, p, limit)
+    return b
+
+
 def pile_with_shots(grains: int, p: int, limit: int) -> tuple[list[int], list[int], int]:
     """Fixed point and shot vector of a single pile of `grains` on column 0.
 
-    Above the cutoff the relaxation starts from the shot vector of
+    Below the cutoff, or when the dense arrays would be too large, `_base`
+    finds the pile.  Above it the relaxation starts from the shot vector of
     grains // _WARM_RATIO, rescaled, for `certify` to judge; after a spill
     or a rejection, from _WARM_RATIO times it, a proven under-estimate.
     The budget is charged once, on the sum of the shot vector read off the
-    decided pile: the recursion has already raised unless the quarter pile fit.
+    decided pile: the recursion has already raised unless the quarter pile fit,
+    and no level of `_base` fires more than the whole pile does.
     """
     cutoff = _RELAX_CUTOFF // 4 if p == 1 else _RELAX_CUTOFF
     if grains < cutoff or support_cap(grains, p) > _RELAX_MAX_CELLS:
-        b = [grains] if grains else []
-        leftmost(b, p, limit)
+        b = _base(grains, p, limit)
         shots = odometer(b, grains, p)
     else:
         sub = grains // _WARM_RATIO

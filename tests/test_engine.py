@@ -1,7 +1,7 @@
 """The warm-started relaxation against a relaxation of the bare pile and the leftmost
-loop, its growing view, its int32 storage bound, its certificate, its fallback from
-4*u(N//4) and that start's premise, the avalanche kernel, and the firing order of the
-worklist loop."""
+loop, its growing view, its clip of negative firing counts, its int32 storage bound,
+its certificate, its fallback from 4*u(N//4) and that start's premise, the leftmost
+base from 2*u(N//2), the avalanche kernel, and the firing order of the worklist loop."""
 
 import functools
 import itertools
@@ -32,6 +32,12 @@ def pushed(b0, p, e):
     return b
 
 
+def leftmost_from_the_bare_pile(n, p, limit=LIMIT):
+    b, fired = [n], []
+    _engine.leftmost(b, p, limit, fired)
+    return b, reference.shot_counts(fired), len(fired)
+
+
 @pytest.mark.parametrize("p", range(1, 7))
 @pytest.mark.parametrize("n", [4096, 16383, 16384, 16385, 65537])
 def test_warm_start_matches_cold_relax(p, n):
@@ -43,9 +49,7 @@ def test_warm_start_matches_cold_relax(p, n):
 @pytest.mark.parametrize("p", range(1, 7))
 @pytest.mark.parametrize("n", [4096, 16385])
 def test_pile_with_shots_matches_leftmost(p, n):
-    b, fired = [n], []
-    _engine.leftmost(b, p, LIMIT, fired)
-    assert _engine.pile_with_shots(n, p, LIMIT) == (b, reference.shot_counts(fired), len(fired))
+    assert _engine.pile_with_shots(n, p, LIMIT) == leftmost_from_the_bare_pile(n, p)
 
 
 @pytest.mark.parametrize("p", range(1, 7))
@@ -55,6 +59,52 @@ def test_starts_that_grow_the_view(p, n):
     u = np.array(_engine.odometer(b, n, p), dtype=np.int64)
     for start in (u[:0], u[:1], u[: len(u) // 2], u[:-1], u // 2):
         assert _engine.relax(n, p, start) == b
+
+
+@pytest.mark.parametrize("p", range(1, 7))
+@pytest.mark.parametrize("n", [4096, 16385])
+def test_no_stop_test_sees_a_negative_firing_count(monkeypatch, p, n):
+    """The clip runs while a cell is negative: every stop test of the bare, the warm,
+    the 4*u(N//4) and the view-growing starts sees f >= 0.  Without the clip a
+    negative cell fires backwards and the relaxation need not end."""
+    b = _engine.relax(n, p)
+    u = np.array(_engine.odometer(b, n, p), dtype=np.int64)
+    quarter = _engine.pile_with_shots(n // 4, p, LIMIT)[1]
+    starts = [(), _engine._estimate(quarter, n // 4, n, p), 4 * np.array(quarter, dtype=np.int64)]
+    starts += [u[:1], u[: len(u) // 2], u[:-1], u // 2]
+    stop_tests, count = [], np.count_nonzero  # relax looks count_nonzero up on each call
+
+    def checked_count(f):
+        assert f.min() >= 0
+        stop_tests.append(len(f))
+        return count(f)
+
+    monkeypatch.setattr(np, "count_nonzero", checked_count)
+    for start in starts:
+        before = len(stop_tests)
+        assert _engine.relax(n, p, start) == b
+        assert len(stop_tests) > before
+
+
+@pytest.mark.parametrize("p", range(1, 9))
+def test_base_below_the_cutoff_matches_leftmost(p):
+    """The base starts from twice the pile of N // 2 plus the odd grain: every N up to
+    600, then a seeded sample of N up to the cutoff."""
+    cutoff = _engine._RELAX_CUTOFF // 4 if p == 1 else _engine._RELAX_CUTOFF
+    ns = [*range(601), *random.Random(p).sample(range(601, cutoff), 30)]
+    for n in ns:
+        assert _engine.pile_with_shots(n, p, LIMIT) == leftmost_from_the_bare_pile(n, p), n
+
+
+@pytest.mark.parametrize("p, n", [(1, 1023), (2, 777), (5, 4095)])
+def test_base_charges_the_budget_once(p, n):
+    total = leftmost_from_the_bare_pile(n, p)[2]
+    assert _engine.pile_with_shots(n, p, total)[2] == total
+    with pytest.raises(WorkLimitExceeded) as cold:
+        leftmost_from_the_bare_pile(n, p, total - 1)
+    with pytest.raises(WorkLimitExceeded) as base:
+        _engine.pile_with_shots(n, p, total - 1)
+    assert str(base.value) == str(cold.value) == f"firing budget {total - 1} exceeded"
 
 
 @pytest.mark.parametrize("p", range(1, 7))
@@ -173,11 +223,10 @@ def test_over_budget_pile_never_relaxes_cold(monkeypatch, p, n):
 @pytest.mark.parametrize("p", range(1, 7))
 @pytest.mark.parametrize("n", [4096, 16385])
 def test_rejected_guess_falls_back_exactly(monkeypatch, p, n):
-    b, fired = [n], []
-    _engine.leftmost(b, p, LIMIT, fired)
+    cold = leftmost_from_the_bare_pile(n, p)
     monkeypatch.setattr(_engine, "certify", lambda b, p, w: False)
     calls = record_relaxes(monkeypatch)
-    assert _engine.pile_with_shots(n, p, LIMIT) == (b, reference.shot_counts(fired), len(fired))
+    assert _engine.pile_with_shots(n, p, LIMIT) == cold
     # each warm level relaxes twice: the rejected guess, then 4*u(N//4)
     assert calls and calls == [g for g in sorted(set(calls)) for _ in range(2)]
 
