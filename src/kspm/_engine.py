@@ -138,6 +138,7 @@ import random
 from typing import Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import Inconsistent, WorkLimitExceeded
 
@@ -477,17 +478,6 @@ def certify(b: list[int], p: int, w: list[int]) -> bool:
     return not any(live)
 
 
-def _sliding_min(x: np.ndarray, k: int) -> np.ndarray:
-    """out[i] = min(x[i : i + k]), reading x as 0 past its end; O(len(x))."""
-    n = len(x)
-    y = np.zeros(-(-(n + k - 1) // k) * k)
-    y[:n] = x
-    blocks = y.reshape(-1, k)
-    head = np.minimum.accumulate(blocks, axis=1).ravel()
-    tail = np.minimum.accumulate(blocks[:, ::-1], axis=1)[:, ::-1].ravel()
-    return np.minimum(tail[:n], head[k - 1 : n + k - 1])
-
-
 def _estimate(shots: list[int], sub: int, grains: int, p: int) -> np.ndarray:
     """Under-estimate of the shot vector at `grains` from the one at `sub`.
 
@@ -495,15 +485,16 @@ def _estimate(shots: list[int], sub: int, grains: int, p: int) -> np.ndarray:
     satisfies a_i(grains) ~ r * a_{i/sqrt(r)}(sub).  The rescaled profile
     is read off by linear interpolation, down to 0 one cell past its end.
     A minimum over the p+1 cells [i - p//2, i + p - p//2], clipped at
-    column 0, flattens the oscillation near the origin that interpolation
-    would misplace.  A forward window [i, i + p] would shift the profile
-    about p/2 columns right: more passes, and an overshoot at p=5.
+    column 0 and 0 past the end, flattens the oscillation near the origin
+    that interpolation would misplace.  A forward window [i, i + p] shifts
+    the profile about p/2 columns right: more passes, overshoot at p=5.
     """
     r = grains / sub
     scale = math.sqrt(r)
     x = np.arange(int(len(shots) * scale) + 1) / scale
     est = r * np.interp(x, np.arange(len(shots) + 1), shots + [0])
-    return _sliding_min(np.pad(est, (p // 2, 0), "edge"), p + 1)[: len(est)].astype(np.int64)
+    padded = np.concatenate((np.full(p // 2, est[0]), est, np.zeros(p - p // 2)))
+    return sliding_window_view(padded, p + 1).min(axis=1).astype(np.int64)
 
 
 def _base(grains: int, p: int, limit: int) -> list[int]:

@@ -3,14 +3,15 @@
 Subcommands wrap the library one-to-one and keep no numerics of their
 own: `fixpoint` prints a pile's fixed point, `avalanche` single records
 or streamed scans, `verify` the invariant sweeps, and `figure-data` the
-plot-ready CSV datasets.  A handler returns (exit code, *blocks of
-lines); `main` writes every command's output, through `_open_out`, in
-writes of at most 4,096 lines.  Output is deterministic for identical
-invocations (seeds included); `--out` writes through a temp file and
-renames, so failures never leave partial files behind.  Every command,
-and each `verify` suite, takes only the flags it reads (`_SUITES`); any
-other flag, an abbreviated one, `--p` with `--p-max`, or `--negate`
-without `--which diffs` is an argument error.
+plot-ready CSV datasets (diffs by one averaging step per row).  A
+handler returns (exit code, *blocks of lines); `main` writes every
+command's output, through `_open_out`, in writes of at most 4,096 lines.
+Output is deterministic for identical invocations (seeds included);
+`--out` writes through a temp file and renames, so failures never leave
+partial files behind.  Every command, and each `verify` suite, takes
+only the flags it reads (`_SUITES`); any other flag, an abbreviated one,
+`--p` with `--p-max`, or `--negate` without `--which diffs` is an
+argument error.
 
 Exit codes: 0 success, 1 failed checks or internal anomalies (or a reader
 that closed the output pipe early), 2 bad arguments.  The environment
@@ -31,7 +32,7 @@ import tempfile
 from typing import IO, Iterator
 
 from . import avalanche, dds, verify
-from .core import DEFAULT_WORK_LIMIT, Params, check_limit, fixed_point
+from .core import DEFAULT_WORK_LIMIT, Params, check_grains, check_limit, fixed_point
 from .errors import InvalidParameter, KSPMError
 
 FORMATS = ("text", "json", "csv")
@@ -214,13 +215,16 @@ def cmd_figure_data(args: argparse.Namespace, limit: int) -> tuple:
         return 0, ["n,height"], (f"{n},{h}" for n, h in enumerate(pi.heights().heights))
     if args.which == "shot":
         return 0, ["n,shots"], (f"{n},{sv.a(n)}" for n in range(pi.width()))
-    traj = dds.trajectory_of(pi, sv, params)
+    check_grains(args.n, 1)  # Y_0 = (-N, 0, ..., 0, a_0) needs a grain
     sign = -1 if args.negate else 1
     header = ",".join(("n", *(f"y{j}" for j in range(args.p)), "mean_numerator", "b_n"))
-    b = pi.diffs + (0,) * (len(traj) - pi.width())  # b_n = 0 past the support
+    b = pi.diffs + (0,) * (args.p + 1)  # b_n = 0 past the support, up to Y_{width + p}
+    states = itertools.accumulate(
+        b, lambda y, b_n: dds.avg_step(y, b_n, params), initial=sv.avg_vector(0)
+    )
     rows = (
-        ",".join(map(str, (n, *(sign * v for v in y.entries), sign * y.mean_numerator(), b[n])))
-        for n, y in enumerate(traj)
+        ",".join(map(str, (n, *(sign * v for v in y.entries), sign * y.mean_numerator(), b_n)))
+        for n, (b_n, y) in enumerate(zip(b, states))
     )
     return 0, [header], rows
 

@@ -20,8 +20,8 @@ this into the averaging system on Z^p,
 
     Y_{n+1} = shift up, append mean(Y_n) + b_n / p,
 
-whose state Y_n is the vector of consecutive shot-vector differences, so
-`trajectory_of` reads each Y_n off them and checks each step in O(1).
+whose state Y_n = x_to_avg(X_n) holds consecutive shot-vector differences,
+so `trajectory_of` reads each Y_n off them and checks each step in O(1).
 All dynamics here stay in exact integer arithmetic; floating point
 appears only in `spectrum`, which checks the eigenvalue claims behind the
 contraction argument (roots of R, spectral radius of the mean-centered
@@ -81,10 +81,7 @@ class ShotVector:
         return XVector(tuple(self.a(n - p + j) for j in range(p + 1)))
 
     def avg_vector(self, n: int) -> "AvgVector":
-        p = self.params.p
-        return AvgVector(
-            tuple(self.a(n - p + j + 1) - self.a(n - p + j) for j in range(p))
-        )
+        return x_to_avg(self.x_vector(n))
 
 
 @dataclass(frozen=True)

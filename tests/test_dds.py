@@ -57,6 +57,15 @@ class TestShotVector:
                 sv = shot_vector(n, Params(p))
                 assert sv.a(0) <= n / p
 
+    @pytest.mark.parametrize("p", range(1, 7))
+    def test_avg_vector_is_a_window_of_differences(self, p):
+        """Y_n = (a_{n-p+1} - a_{n-p}, ..., a_n - a_{n-1}) at every n from 0 to width + p."""
+        for grains in (1, 24, 777, 4097):
+            pi, sv = pile(grains, Params(p))
+            for n in range(pi.width() + p + 1):
+                expected = tuple(sv.a(i + 1) - sv.a(i) for i in range(n - p, n))
+                assert sv.avg_vector(n).entries == expected, (grains, n)
+
     @pytest.mark.parametrize("p", [1, 2, 3, 4, 5, 6])
     def test_relation_reconstructs_fixed_point(self, p):
         for n in (0, 1, 24, 100, 777):

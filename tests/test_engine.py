@@ -342,15 +342,8 @@ class TestOdometer:
             _engine.odometer(b, n + 1, p)
 
 
-@pytest.mark.parametrize("k", [3, 5, 8])
-def test_sliding_min(k):
-    x = np.array([5.0, 3, 9, 1, 7, 2, 8, 6, 4, 0, 3])
-    padded = np.concatenate([x, np.zeros(k - 1)])
-    expected = [padded[i : i + k].min() for i in range(len(x))]
-    assert _engine._sliding_min(x, k).tolist() == expected
-
-
-@pytest.mark.parametrize("p", range(1, 9))
+# p = 13 and 40 take windows wider than every profile here, all padding at both ends
+@pytest.mark.parametrize("p", [*range(1, 9), 13, 40])
 @pytest.mark.parametrize("shots", [[9, 4, 7, 1, 8, 3, 6, 2, 5, 0, 3, 1], [40, 3], [7]])
 def test_estimate_takes_a_centred_minimum(p, shots):
     """At grains == sub the rescaled profile is shots + [0], so only the window acts:
