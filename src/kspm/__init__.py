@@ -22,7 +22,6 @@ from .core import (
 )
 from .avalanche import (
     Avalanche,
-    DensityReport,
     ScanCsvWriter,
     ScanSummary,
     add_grain,
@@ -66,7 +65,6 @@ __all__ = [
     "AvgVector",
     "Configuration",
     "DEFAULT_WORK_LIMIT",
-    "DensityReport",
     "GRAIN_LIMIT",
     "HeightProfile",
     "LEFTMOST",

@@ -182,11 +182,7 @@ def support_report(
     grains: int, params: Params, work_limit: int = DEFAULT_WORK_LIMIT
 ) -> SupportReport:
     width = fixed_point(grains, params, work_limit).width()
-    return support_bounds(grains, params.p, width)
-
-
-def support_bounds(grains: int, p: int, width: int) -> SupportReport:
-    return SupportReport(grains, width, *_support_limits(grains, p))
+    return SupportReport(grains, width, *_support_limits(grains, params.p))
 
 
 def _support_limits(grains: int, p: int) -> tuple[float, float]:

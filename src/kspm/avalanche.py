@@ -17,13 +17,13 @@ as the start of its last fired block; a byte mask of the cells at p lives
 beside the pile across grains, so the kernel finds each tail's end with
 one search.  `ROWS`, one row formatter per format, works on a step
 (k, head, lp, last, b) and p; a full firing list is a head with an empty
-tail (last = max(fired)) and its L' from `density_column`.  `incremental_scan`
-streams one record per grain to an observer and keeps only the current pile
-in memory, so scans up to millions of grains need memory proportional to
-the support width, not to N.  Observer callbacks run on the scan's own
-thread of control and must not assume reentrancy; the scan itself is
-inherently sequential in k, but distinct scans are independent and can run
-concurrently.
+tail (last = max(fired)) and its L', the int `density_column` returns.
+`incremental_scan` sums the firings and L(p, N), streams one record per
+grain to an optional sink, and keeps only the current pile in memory, so
+scans up to millions of grains need memory proportional to the support
+width, not to N.  The sink runs on the scan's own thread of control and
+must not assume reentrancy; the scan itself is inherently sequential in k,
+but distinct scans are independent and can run concurrently.
 """
 
 from __future__ import annotations
@@ -71,25 +71,12 @@ class Avalanche:
 
 
 @dataclass(frozen=True)
-class DensityReport:
-    """Where the k-th avalanche becomes a dense block of firings."""
-
-    k: int
-    l_prime: int
-    max_fired: Optional[int]
-
-
-@dataclass(frozen=True)
 class ScanSummary:
     grains: int
     params: Params
     l_global: int
     total_firings: int
-    max_avalanche: int
     final: Configuration
-
-
-Observer = Callable[[int, Avalanche, Configuration], None]
 
 
 def add_grain(c: Configuration) -> Configuration:
@@ -126,10 +113,10 @@ def holes(a: Avalanche) -> list[int]:
     return [v - 1 for j, v in enumerate(cols) if v and (j == 0 or cols[j - 1] != v - 1)]
 
 
-def density_column(a: Avalanche) -> DensityReport:
+def density_column(a: Avalanche) -> int:
     """L'(p,k): one past the largest hole (0 when the avalanche has none)."""
     hs = holes(a)
-    return DensityReport(a.k, hs[-1] + 1 if hs else 0, a.max_fired)
+    return hs[-1] + 1 if hs else 0
 
 
 def steps(
@@ -145,6 +132,7 @@ def steps(
     kernel's mask of the cells at p lives beside b across grains.  The
     firing budget covers the whole scan and is charged after each avalanche.
     """
+    Params(p)
     check_grains(grains, 1, p)
     check_limit(work_limit)
     b = [0]
@@ -162,7 +150,7 @@ def steps(
 def incremental_scan(
     grains: int,
     params: Params,
-    sink: Optional[Observer] = None,
+    sink: Optional[Callable[[int, Avalanche, Configuration], None]] = None,
     work_limit: int = DEFAULT_WORK_LIMIT,
 ) -> ScanSummary:
     """Build pi(1) .. pi(grains) one grain at a time.
@@ -173,30 +161,26 @@ def incremental_scan(
     """
     l_global = 0
     total = 0
-    max_avalanche = 0
     for k, head, lp, last, b in steps(grains, params.p, work_limit):
-        size = len(head) + last - max(head) if head else 0
-        total += size
-        if size > max_avalanche:
-            max_avalanche = size
+        total += len(head) + last - max(head) if head else 0
         if lp > l_global:
             l_global = lp
         if sink is not None:
             sink(k, Avalanche(k, tuple(_engine.firing_order(b, params.p, head, last))),
                  Configuration._trusted(tuple(b), params))
     final = Configuration._trusted(tuple(b), params)
-    return ScanSummary(grains, params, l_global, total, max_avalanche, final)
+    return ScanSummary(grains, params, l_global, total, final)
 
 
 class ScanCsvWriter:
-    """Observer that writes `CSV_HEADER`, then one CSV row per grain."""
+    """A sink that writes `CSV_HEADER`, then one CSV row per grain."""
 
     def __init__(self, stream: IO[str]):
         self._write = stream.write
         self._write(CSV_HEADER + "\n")
 
     def __call__(self, k: int, a: Avalanche, c: Configuration) -> None:
-        lp, last = density_column(a).l_prime, max(a.fired, default=-1)
+        lp, last = density_column(a), max(a.fired, default=-1)
         self._write(ROWS["csv"](k, a.fired, lp, last, c.diffs, c.params.p) + "\n")
 
 

@@ -173,7 +173,7 @@ def cmd_avalanche(args: argparse.Namespace, limit: int) -> tuple:
     fired = record.fired
     if args.format == "text":  # a single record prints its columns only, and nothing when empty
         return 0, [" ".join(map(str, fired))] if fired else []
-    lp = avalanche.density_column(record).l_prime
+    lp = avalanche.density_column(record)
     return 0, header, [row(args.k, fired, lp, max(fired, default=-1), result.diffs, args.p)]
 
 

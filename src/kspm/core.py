@@ -142,10 +142,6 @@ class Configuration:
     # -- constructors ------------------------------------------------
 
     @classmethod
-    def of(cls, diffs: Iterable[int], params: Params) -> "Configuration":
-        return cls(tuple(diffs), params)
-
-    @classmethod
     def _trusted(cls, diffs: tuple[int, ...], params: Params) -> "Configuration":
         # engine output is already normalized non-negative ints; skip the
         # per-element validation, which would dominate streaming scans
@@ -161,10 +157,6 @@ class Configuration:
         return cls((grains,) if grains else (), params)
 
     # -- basic queries -----------------------------------------------
-
-    @property
-    def p(self) -> int:
-        return self.params.p
 
     def width(self) -> int:
         """Number of columns before the all-zero tail."""

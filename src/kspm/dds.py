@@ -154,6 +154,7 @@ def x_step(x: XVector, b_n: int, params: Params) -> XVector:
     p = params.p
     if len(x.entries) != p + 1:
         raise InvalidParameter(f"window must have p+1 = {p + 1} entries")
+    _check_ints(x.entries)
     if type(b_n) is not int or not 0 <= b_n <= p:
         raise InvalidParameter(f"b must be an int in 0..{p}, got {b_n!r}")
     num = -x.entries[0] + (p + 1) * x.entries[-1] + b_n
@@ -167,6 +168,7 @@ def avg_step(y: AvgVector, b_n: int, params: Params) -> AvgVector:
     p = params.p
     if len(y.entries) != p:
         raise InvalidParameter(f"state must have p = {p} entries")
+    _check_ints(y.entries)
     if type(b_n) is not int or not 0 <= b_n <= p:
         raise InvalidParameter(f"b must be an int in 0..{p}, got {b_n!r}")
     num = sum(y.entries) + b_n
@@ -178,7 +180,14 @@ def avg_step(y: AvgVector, b_n: int, params: Params) -> AvgVector:
 def x_to_avg(x: XVector) -> AvgVector:
     """Basis change + projection: consecutive differences of the window."""
     e = x.entries
+    _check_ints(e)
     return AvgVector(tuple(e[j + 1] - e[j] for j in range(len(e) - 1)))
+
+
+def _check_ints(entries: tuple[int, ...]) -> None:
+    """Reject a caller-built state with an entry that is not an int: a float or a bool."""
+    if any(type(v) is not int for v in entries):
+        raise InvalidParameter(f"entries must be ints, got {entries!r}")
 
 
 def avg_trajectory(
@@ -265,8 +274,6 @@ def spectrum(params: Params, tolerance: float = 1e-9) -> SpectrumReport:
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(str(exc)) from exc
     roots = tuple(sorted(map(complex, roots), key=lambda z: (z.real, z.imag)))
-    if len(roots) != p - 1:
-        raise NumericalFailure(f"expected {p - 1} roots, found {len(roots)}")
     max_modulus = max(abs(z) for z in roots)
     distinct = all(
         abs(roots[i] - roots[j]) > tolerance

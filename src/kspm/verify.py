@@ -105,7 +105,6 @@ def check_plateau(p: int, n_max: int, work_limit: int = DEFAULT_WORK_LIMIT) -> C
 def check_support(p: int, n_max: int, work_limit: int = DEFAULT_WORK_LIMIT) -> CheckResult:
     """Strict sqrt bounds on the fixed-point width for every N <= n_max."""
     name = f"support p={p}"
-    Params(p)
     for k, *_, b in avalanche.steps(n_max, p, work_limit):
         lower, upper = analysis._support_limits(k, p)
         if not lower < len(b) < upper:
@@ -218,7 +217,6 @@ def check_density(p: int, n_max: int, work_limit: int = DEFAULT_WORK_LIMIT) -> C
     Also records the running maximum L(p, N) at power-of-two checkpoints.
     """
     name = f"density p={p}"
-    Params(p)
     l_global = 0
     checkpoints: dict[int, int] = {}
     prev_emergence = 0  # empty pile matches everywhere

@@ -11,6 +11,7 @@ from kspm import (
     analysis,
     HeightProfile,
     Params,
+    SupportReport,
     decompose_suffix,
     emergence_index,
     fixed_point,
@@ -294,12 +295,12 @@ class TestSupportReport:
 
     @pytest.mark.parametrize("p", range(1, 7))
     def test_support_predicate_against_report(self, p):
-        """`check_support`'s lower < w < upper against `support_bounds`, at the
+        """`check_support`'s lower < w < upper against `SupportReport`, at the
         floor and ceiling of each bound, and the bounds against their formulas."""
         for k in range(1, 3001):
             lower, upper = analysis._support_limits(k, p)
             root = math.sqrt(k)
             assert (lower, upper) == (root / p - 1.0, (p + 1) * root + p + 1.0)
             for w in {math.floor(lower), math.ceil(lower), math.floor(upper), math.ceil(upper)}:
-                assert (lower < w < upper) == analysis.support_bounds(k, p, w).holds
+                assert (lower < w < upper) == SupportReport(k, w, lower, upper).holds
 

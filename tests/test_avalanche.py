@@ -19,6 +19,7 @@ from kspm import (
     run_avalanche,
     shot_vector,
 )
+from kspm.avalanche import steps
 from kspm.errors import InvalidParameter, NotStable, WorkLimitExceeded
 
 import reference
@@ -134,26 +135,34 @@ class TestHoles:
 
 class TestDensityColumn:
     def test_dense_from_zero(self):
-        report = density_column(Avalanche(25, (0, 2, 1, 4, 3)))
-        assert report.l_prime == 0 and report.max_fired == 4
+        a = Avalanche(25, (0, 2, 1, 4, 3))
+        assert density_column(a) == 0 and a.max_fired == 4
 
     def test_hole_at_one(self):
-        report = density_column(Avalanche(9, (0, 2, 3)))
-        assert report.l_prime == 2 and report.max_fired == 3
+        a = Avalanche(9, (0, 2, 3))
+        assert density_column(a) == 2 and a.max_fired == 3
 
     def test_empty(self):
-        report = density_column(Avalanche(9, ()))
-        assert report.l_prime == 0 and report.max_fired is None
+        a = Avalanche(9, ())
+        assert density_column(a) == 0 and a.max_fired is None
 
     @given(st.sets(st.integers(min_value=0, max_value=30), max_size=12))
     def test_invariants(self, fired):
         a = Avalanche(1, tuple(sorted(fired)))
-        report = density_column(a)
+        lp = density_column(a)
         hs = reference.brute_holes(fired)
-        assert report.l_prime == (max(hs) + 1 if hs else 0)
+        assert type(lp) is int and lp == (max(hs) + 1 if hs else 0)
         if fired:
-            assert all(c in a.fired_set for c in range(report.l_prime, report.max_fired + 1))
-            assert all(c not in a.fired_set for c in range(report.max_fired + 1, 33))
+            assert all(c in a.fired_set for c in range(lp, a.max_fired + 1))
+            assert all(c not in a.fired_set for c in range(a.max_fired + 1, 33))
+
+
+@pytest.mark.parametrize("p", [0, -1, True, 2.0])
+def test_steps_rejects_p_at_first_next(p):
+    """p < 1 would index past the pile or yield rows; a bool or float would pass as p."""
+    scan = steps(4, p)
+    with pytest.raises(InvalidParameter, match="p must be a positive integer"):
+        next(scan)
 
 
 class TestIncrementalScan:
@@ -183,9 +192,9 @@ class TestIncrementalScan:
     def test_summary_l_global(self):
         assert incremental_scan(1, Params(2)).l_global == 0
         summary = incremental_scan(25, Params(2))
-        reports = []
-        incremental_scan(25, Params(2), lambda k, a, c: reports.append(density_column(a)))
-        assert summary.l_global == max(r.l_prime for r in reports)
+        lps = []
+        incremental_scan(25, Params(2), lambda k, a, c: lps.append(density_column(a)))
+        assert summary.l_global == max(lps)
 
     def test_observer_sees_every_k(self):
         ks = []
@@ -211,18 +220,16 @@ class TestIncrementalScan:
 class TestDensityOnRealAvalanches:
     @pytest.mark.parametrize("p", [2, 4])
     def test_report_invariants_along_scan(self, p):
-        """From l_prime to max_fired every column fires and none beyond."""
+        """From L' to max_fired every column fires, and column L' - 1 is a hole."""
 
         def sink(k, a, c):
-            report = density_column(a)
+            lp = density_column(a)
             if a.fired:
                 fired = a.fired_set
-                assert all(
-                    col in fired for col in range(report.l_prime, report.max_fired + 1)
-                )
-                assert max(fired) == report.max_fired
+                assert all(col in fired for col in range(lp, a.max_fired + 1))
+                assert lp == 0 or lp - 1 not in fired
             else:
-                assert report.l_prime == 0 and report.max_fired is None
+                assert lp == 0 and a.max_fired is None
 
         incremental_scan(300, Params(p), sink)
 

@@ -259,6 +259,8 @@ class TestVerify:
             ("confluence", "--p", "-1"),
             ("plateau", "--p", "0"),
             ("plateau", "--p", "-1"),
+            ("support", "--p", "0"),
+            ("density", "--p", "-1"),
             ("confluence", "--n-max", "0"),
             ("support", "--n-max", "-5"),
             ("linkage", "--n-max", "0"),

@@ -358,7 +358,7 @@ class TestNormalization:
 
     def test_floats_not_truncated(self):
         with pytest.raises(InvalidParameter):
-            Configuration.of([2.7, 1.9], Params(2))
+            Configuration([2.7, 1.9], Params(2))
 
     def test_heights_must_be_ints(self):
         with pytest.raises(InvalidParameter):
@@ -416,7 +416,7 @@ class TestNormalization:
         st.data(),
     )
     def test_only_non_negative_ints_accepted(self, diffs, bad, data):
-        c = Configuration.of(diffs, Params(2))
+        c = Configuration(diffs, Params(2))
         trimmed = list(diffs)
         while trimmed and trimmed[-1] == 0:
             trimmed.pop()
@@ -424,7 +424,7 @@ class TestNormalization:
         assert Configuration.from_json(c.to_json()) == c
         at = data.draw(st.integers(min_value=0, max_value=len(diffs)))
         with pytest.raises(InvalidParameter):
-            Configuration.of(diffs[:at] + [bad] + diffs[at:], Params(2))
+            Configuration(diffs[:at] + [bad] + diffs[at:], Params(2))
 
 
 LIMITED_ENTRIES = {

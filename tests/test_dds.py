@@ -206,8 +206,14 @@ _P2 = Params(2)
     [
         lambda: avg_step(AvgVector((0, 0)), 2.0, _P2),
         lambda: avg_step(AvgVector((0, 0)), True, _P2),
+        lambda: avg_step(AvgVector((1.0, 0)), 1, _P2),
+        lambda: avg_step(AvgVector((True, 0)), 1, _P2),
         lambda: x_step(XVector((0, 0, 0)), 2.0, _P2),
         lambda: x_step(XVector((0, 0, 0)), True, _P2),
+        lambda: x_step(XVector((1.0, 2, 3)), 0, _P2),
+        lambda: x_step(XVector((True, 2, 3)), 0, _P2),
+        lambda: x_to_avg(XVector((1.0, 2, 3))),
+        lambda: x_to_avg(XVector((True, 2, 3))),
         lambda: reconstruct_b(1.5, 2, _P2),
         lambda: reconstruct_b(2, 1.5, _P2),
         lambda: reconstruct_b(True, 0, _P2),
@@ -216,7 +222,9 @@ _P2 = Params(2)
         lambda: shot_vector(24, _P2).a(True),
     ],
     ids=[
-        "avg_step-float", "avg_step-bool", "x_step-float", "x_step-bool", "reconstruct_b-float-a",
+        "avg_step-float", "avg_step-bool", "avg_step-float-entry", "avg_step-bool-entry",
+        "x_step-float", "x_step-bool", "x_step-float-entry", "x_step-bool-entry",
+        "x_to_avg-float-entry", "x_to_avg-bool-entry", "reconstruct_b-float-a",
         "reconstruct_b-float-b", "reconstruct_b-bool", "a-float", "a-negative-float", "a-bool",
     ],
 )
