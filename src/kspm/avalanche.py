@@ -45,10 +45,6 @@ class Avalanche:
     fired: tuple[int, ...]
 
     @property
-    def fired_set(self) -> frozenset[int]:
-        return frozenset(self.fired)
-
-    @property
     def max_fired(self) -> Optional[int]:
         return max(self.fired) if self.fired else None
 
@@ -72,8 +68,6 @@ class Avalanche:
 
 @dataclass(frozen=True)
 class ScanSummary:
-    grains: int
-    params: Params
     l_global: int
     total_firings: int
     final: Configuration
@@ -169,7 +163,7 @@ def incremental_scan(
             sink(k, Avalanche(k, tuple(_engine.firing_order(b, params.p, head, last))),
                  Configuration._trusted(tuple(b), params))
     final = Configuration._trusted(tuple(b), params)
-    return ScanSummary(grains, params, l_global, total, final)
+    return ScanSummary(l_global, total, final)
 
 
 class ScanCsvWriter:

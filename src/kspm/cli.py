@@ -7,11 +7,11 @@ plot-ready CSV datasets (diffs by one averaging step per row).  A
 handler returns (exit code, *blocks of lines); `main` writes every
 command's output, through `_open_out`, in writes of at most 4,096 lines.
 Output is deterministic for identical invocations (seeds included);
-`--out` writes through a temp file and renames, so failures never leave
-partial files behind.  Every command, and each `verify` suite, takes
-only the flags it reads (`_SUITES`); any other flag, an abbreviated one,
-`--p` with `--p-max`, or `--negate` without `--which diffs` is an
-argument error.
+`--out` replaces a regular file through a temp file and a rename, so
+failures never leave partial files behind.  Every command, and each
+`verify` suite, takes only the flags it reads (`_SUITES`); any other
+flag, an abbreviated one, `--p` with `--p-max`, or `--negate` without
+`--which diffs` is an argument error.
 
 Exit codes: 0 success, 1 failed checks or internal anomalies (or a reader
 that closed the output pipe early), 2 bad arguments.  The environment
@@ -27,6 +27,7 @@ import functools
 import itertools
 import json
 import os
+import stat
 import sys
 import tempfile
 from typing import IO, Iterator
@@ -65,20 +66,36 @@ def _work_limit() -> int:
 
 @contextlib.contextmanager
 def _open_out(path: str | None) -> Iterator[IO[str]]:
-    """Stdout, or an atomically renamed file: no partial output on failure."""
+    """Stdout; the FIFO or device at `path`, written in place; or the regular
+    file `path` resolves to, by a temp file renamed over it (no partial
+    output on failure) with the old file's mode, or 0o666 less the umask."""
     if path is None:
         yield sys.stdout
         return
-    directory = os.path.dirname(os.path.abspath(path))
+    target = os.path.realpath(path)
     try:
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".kspm-", suffix=".part")
+        mode = os.stat(target).st_mode
+    except OSError:  # nothing there yet, or no way there: mkstemp reports which
+        umask = os.umask(0)
+        os.umask(umask)
+        mode = stat.S_IFREG | 0o666 & ~umask
+    try:
+        if stat.S_ISREG(mode):
+            fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".kspm-", suffix=".part")
+        else:  # a directory fails here
+            stream = open(target, "w", newline="")
     except OSError as exc:
         raise InvalidParameter(f"cannot write {path}: {exc.strerror}") from None
+    if not stat.S_ISREG(mode):
+        with stream:
+            yield stream
+        return
     try:
+        os.fchmod(fd, stat.S_IMODE(mode))
         with os.fdopen(fd, "w", newline="") as stream:
             yield stream
         try:
-            os.replace(tmp, path)
+            os.replace(tmp, target)
         except OSError as exc:
             raise InvalidParameter(f"cannot write {path}: {exc.strerror}") from None
     except BaseException:

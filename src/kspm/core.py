@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Iterable
 
 from . import _engine
 from .errors import (
@@ -107,9 +107,6 @@ class RandomStrategy:
             raise InvalidParameter(f"seed must be an int, got {self.seed!r}")
 
 
-Strategy = Union[str, RandomStrategy]
-
-
 @dataclass(frozen=True)
 class HeightProfile:
     """Column heights: non-increasing, ultimately null."""
@@ -149,12 +146,6 @@ class Configuration:
         object.__setattr__(obj, "diffs", diffs)
         object.__setattr__(obj, "params", params)
         return obj
-
-    @classmethod
-    def single_pile(cls, grains: int, params: Params) -> "Configuration":
-        """The initial configuration: all grains stacked on column 0."""
-        check_grains(grains)
-        return cls((grains,) if grains else (), params)
 
     # -- basic queries -----------------------------------------------
 
@@ -228,7 +219,7 @@ class Configuration:
 
 def stabilize(
     c: Configuration,
-    strategy: Strategy = LEFTMOST,
+    strategy: str | RandomStrategy = LEFTMOST,
     work_limit: int = DEFAULT_WORK_LIMIT,
 ) -> tuple[Configuration, int]:
     """Run the pile to its fixed point; returns (fixed point, total firings).

@@ -146,7 +146,7 @@ def test_criterion_7():
 def test_criterion_8():
     t0 = time.perf_counter()
     for p in range(2, 65):
-        report = spectrum(Params(p), tolerance=1e-9)
+        report = spectrum(Params(p))
         assert report.distinct, f"coincident roots at p={p}"
         assert report.max_modulus <= (p - 1) / p + 1e-9, f"modulus bound broken at p={p}"
         assert report.dm_max_error <= 1e-7, f"eigenvalue mismatch at p={p}"

@@ -46,7 +46,7 @@ class TestAddGrain:
         from kspm import GRAIN_LIMIT
         from kspm.errors import InvalidParameter
 
-        full = Configuration.single_pile(GRAIN_LIMIT, Params(2))
+        full = Configuration((GRAIN_LIMIT,), Params(2))
         with pytest.raises(InvalidParameter):
             add_grain(full)
         with pytest.raises(InvalidParameter):
@@ -153,8 +153,8 @@ class TestDensityColumn:
         hs = reference.brute_holes(fired)
         assert type(lp) is int and lp == (max(hs) + 1 if hs else 0)
         if fired:
-            assert all(c in a.fired_set for c in range(lp, a.max_fired + 1))
-            assert all(c not in a.fired_set for c in range(a.max_fired + 1, 33))
+            assert all(c in set(a.fired) for c in range(lp, a.max_fired + 1))
+            assert all(c not in set(a.fired) for c in range(a.max_fired + 1, 33))
 
 
 @pytest.mark.parametrize("p", [0, -1, True, 2.0])
@@ -225,7 +225,7 @@ class TestDensityOnRealAvalanches:
         def sink(k, a, c):
             lp = density_column(a)
             if a.fired:
-                fired = a.fired_set
+                fired = set(a.fired)
                 assert all(col in fired for col in range(lp, a.max_fired + 1))
                 assert lp == 0 or lp - 1 not in fired
             else:

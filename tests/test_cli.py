@@ -2,6 +2,7 @@
 
 import json
 import os
+import stat
 import subprocess
 import sys
 import tracemalloc
@@ -420,6 +421,45 @@ class TestOutputFile:
         assert out == ""
         assert err.startswith(f"kspm: cannot write {out_path}")
         assert not list(tmp_path.rglob(".kspm-*"))
+
+    def test_out_through_symlink_writes_its_target(self, tmp_path, capsys):
+        real, link = tmp_path / "real.txt", tmp_path / "link.txt"
+        real.write_text("stale\n")
+        link.symlink_to(real)
+        assert run(capsys, "fixpoint", "--p", "2", "--n", "24", "--out", str(link)) == (0, "", "")
+        assert link.is_symlink()
+        assert real.read_text() == "2 1 2 1 2\n"
+        assert not list(tmp_path.glob(".kspm-*"))
+
+    def test_out_modes(self, tmp_path, capsys):
+        """A new file gets 0o666 less the umask; an existing file keeps its mode."""
+        new, old = tmp_path / "new.txt", tmp_path / "old.txt"
+        old.write_text("stale\n")
+        old.chmod(0o604)
+        umask = os.umask(0o027)
+        try:
+            for target in (new, old):
+                argv = ("fixpoint", "--p", "2", "--n", "24", "--out", str(target))
+                assert run(capsys, *argv) == (0, "", "")
+        finally:
+            os.umask(umask)
+        assert stat.S_IMODE(new.stat().st_mode) == 0o640
+        assert stat.S_IMODE(old.stat().st_mode) == 0o604
+        assert old.read_text() == "2 1 2 1 2\n"
+
+    def test_out_to_fifo_writes_in_place(self, tmp_path, capsys):
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        # a non-blocking reader: opening it cannot hang, and the writer finds a reader
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        argv = ("fixpoint", "--p", "2", "--n", "24", "--out", str(fifo))
+        try:
+            assert run(capsys, *argv) == (0, "", "")
+            assert os.read(reader, 4096) == b"2 1 2 1 2\n"
+        finally:
+            os.close(reader)
+        assert stat.S_ISFIFO(fifo.stat().st_mode)
+        assert not list(tmp_path.glob(".kspm-*"))
 
     def test_support_spill_exits_1(self, capsys, monkeypatch):
         from kspm import Params, _engine, fixed_point

@@ -318,7 +318,7 @@ class TestGrainCount:
         assert cfg([2, 1, 2, 1, 2], 2).grain_count() == 24
 
     def test_single_pile(self):
-        assert Configuration.single_pile(417, Params(3)).grain_count() == 417
+        assert Configuration((417,), Params(3)).grain_count() == 417
 
     def test_pile2000_value(self):
         assert fixed_point(2000, Params(4)).grain_count() == 2000

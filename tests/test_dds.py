@@ -1,6 +1,7 @@
 """Shot vectors, the window and averaging systems, and the spectrum checks."""
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -263,7 +264,7 @@ class TestAvgTrajectory:
 
     @pytest.mark.parametrize("p,n", [(1, 50), (2, 300), (5, 123)])
     def test_integrality_and_consistency(self, p, n):
-        # construction raises Inconsistent/NonIntegral if either fails
+        # every state is an exact integer slice of the shot vector's differences
         traj = avg_trajectory(n, Params(p))
         assert all(isinstance(v, int) for y in traj for v in y.entries)
 
@@ -333,6 +334,34 @@ class TestAvgTrajectory:
         with pytest.raises(InvalidParameter, match="shot vector does not match"):
             trajectory_of(Configuration((3,), params), ShotVector((), 4, params), params)
 
+    def test_random_shot_vectors(self):
+        """Any non-negative shot vector that rebuilds some pi: the `avg_step`
+        trajectory from `sv.avg_vector(0)`, or InvalidParameter at pi's first
+        b_n > p, and no other outcome."""
+        rng = random.Random(29)
+        seen = {"trajectory": 0, "unstable": 0}
+        for _ in range(20000):
+            p = rng.randint(1, 6)
+            params = Params(p)
+            counts = tuple(rng.randint(0, 12) for _ in range(rng.randint(0, 8)))
+            sv = ShotVector(counts, rng.randint(1, 60), params)
+            try:
+                pi = sv.fixed_point()
+            except InvalidParameter:
+                continue  # a negative b_n: no pile has this shot vector
+            bad = next((b_n for b_n in pi.diffs if b_n > p), None)
+            if bad is not None:
+                seen["unstable"] += 1
+                with pytest.raises(InvalidParameter, match=rf"in 0\.\.{p}, got {bad}$"):
+                    trajectory_of(pi, sv, params)
+                continue
+            seen["trajectory"] += 1
+            expected = [sv.avg_vector(0)]
+            for b_n in pi.diffs + (0,) * p:
+                expected.append(avg_step(expected[-1], b_n, params))
+            assert trajectory_of(pi, sv, params) == expected
+        assert min(seen.values()) > 100, seen
+
 
 class TestFirstConstantIndex:
     def test_synthetic_constant_start(self):
@@ -382,8 +411,3 @@ class TestSpectrum:
         assert report.max_modulus <= (p - 1) / p + 1e-9
         assert report.dm_max_error <= 1e-7
         assert len(report.roots) == p - 1
-
-    @pytest.mark.parametrize("tolerance", ["x", True, -1.0, math.nan, math.inf])
-    def test_bad_tolerance_rejected(self, tolerance):
-        with pytest.raises(InvalidParameter):
-            spectrum(Params(4), tolerance)

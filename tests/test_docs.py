@@ -1,4 +1,5 @@
-"""The package doctests, the README library example and its quoted CLI outputs hold as written."""
+"""The package doctests, the README library example, its quoted CLI outputs and its
+`verify` suite table hold as written."""
 
 import contextlib
 import doctest
@@ -7,7 +8,7 @@ import pathlib
 import re
 
 import kspm
-from kspm.cli import main
+from kspm.cli import _SUITES, _parser, main
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
@@ -81,3 +82,20 @@ def test_readme_cli_outputs(capsys):
         "avalanche --p 2 --upto 1000 --format csv",
         "verify waves --p 4 --n 2000",
     ]
+
+
+def test_readme_suite_table_matches_cli():
+    """Each row of the README's `verify` table states the suite's p range, size
+    flag and default, and other flags as the CLI parses them."""
+    text = README.read_text(encoding="utf-8")
+    rows = dict(re.findall(r"^\| `(\w+)` \| (.*) \|$", text, re.M))
+    assert list(rows) == list(_SUITES)
+    for suite, (p_lo, _, size_flag, _) in _SUITES.items():
+        args = vars(_parser().parse_args(["verify", suite]))
+        swept = f"{p_lo}..{args['p_max']}" + ("" if "p" in args else ", no `--p`")
+        if size_flag is None:
+            size = "none"
+        else:
+            size = f"`{size_flag}` ({'required' if args['size'] is None else args['size']})"
+        other = f"`--seed` ({args['seed']})" if "seed" in args else ""
+        assert [cell.strip() for cell in rows[suite].split("|")] == [swept, size, other], suite
