@@ -69,16 +69,18 @@ positive, which is where the new support ends.
 fires every enabled column as often as its current value allows, which is
 a legal interleaving of single firings (firing another column never
 disables a pending one), so by confluence it reaches the same fixed point
-with the same per-column firing counts.  It is vectorized with numpy,
-on arrays allocated once and passed over in place.  The passes run on a
-view of the first m columns; firings in [m - p, m) drop their grain into
-a margin [m, m + p) that does not fire.  When the view is stable and a
+with the same per-column firing counts.  It is vectorized with numpy, on
+arrays allocated once and passed over in place.  Only this path imports
+numpy (`relax`, `_storage`, `_estimate`, each at its top), so piles below
+the cutoff and avalanches run without loading it.  The passes run on a
+view of the first m columns; firings in [m - p, m) drop their grain into a
+margin [m, m + p) that does not fire.  When the view is stable and a
 margin cell holds more than p, m doubles, up to the support bound;
 otherwise no column anywhere is enabled and the pile is the fixed point.
-The view starts p + 1 columns past the start vector, so warm passes
-cover about the final width, not the bound, several times wider.  A pass
-clips its counts at 0 only while some cell is negative: only Ds makes one,
-and a cell at 0 or above stays at 0 or above (int32 storage below).
+The view starts p + 1 columns past the start vector, so warm passes cover
+about the final width, not the bound, several times wider.  A pass clips
+its counts at 0 only while some cell is negative: only Ds makes one, and a
+cell at 0 or above stays at 0 or above (int32 storage below).
 
 No loop counts firings per column: `odometer` reads u >= 0 off a pile
 b = c + Du of N grains by b_n = u_{n-p} - (p+1)*u_n + p*u_{n+1},
@@ -135,12 +137,12 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Sequence
-
-import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from typing import TYPE_CHECKING, Sequence
 
 from .errors import Inconsistent, WorkLimitExceeded
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_WORK_LIMIT = 10**10
 
@@ -359,12 +361,14 @@ def worklist(b: list[int], p: int, limit: int, seed: int | None = None) -> int:
 def _storage(grains: int, pile: np.ndarray) -> type[np.signedinteger]:
     """int32 if the bound B = N + sum((i+1) * max(0, -pile[i])) on every value a
     relaxation of `pile` (N = `grains`) computes fits it, else int64 (module docstring)."""
+    import numpy as np
+
     neg = np.flatnonzero(pile < 0)
     bound = grains - sum(map(int.__mul__, (neg + 1).tolist(), pile[neg].tolist()))
     return np.int32 if bound <= np.iinfo(np.int32).max else np.int64
 
 
-def relax(grains: int, p: int, start: np.ndarray | tuple[int, ...] = ()) -> list[int]:
+def relax(grains: int, p: int, start: np.ndarray | Sequence[int] = ()) -> list[int]:
     """Batched stabilization of `grains` on column 0: the final configuration, trimmed.
 
     Equivalent to any sequential strategy by confluence; used as the fast
@@ -382,6 +386,8 @@ def relax(grains: int, p: int, start: np.ndarray | tuple[int, ...] = ()) -> list
     There is no firing budget here: `pile_with_shots` charges the decided
     total.
     """
+    import numpy as np
+
     pp1 = p + 1
     cap = support_cap(grains, p)
     top = cap - p
@@ -489,6 +495,9 @@ def _estimate(shots: list[int], sub: int, grains: int, p: int) -> np.ndarray:
     that interpolation would misplace.  A forward window [i, i + p] shifts
     the profile about p/2 columns right: more passes, overshoot at p=5.
     """
+    import numpy as np
+    from numpy.lib.stride_tricks import sliding_window_view
+
     r = grains / sub
     scale = math.sqrt(r)
     x = np.arange(int(len(shots) * scale) + 1) / scale
@@ -532,7 +541,7 @@ def pile_with_shots(grains: int, p: int, limit: int) -> tuple[list[int], list[in
         except Inconsistent:
             shots = None
         if shots is None or not certify(b, p, shots):
-            b = relax(grains, p, _WARM_RATIO * np.array(quarter, dtype=np.int64))
+            b = relax(grains, p, [_WARM_RATIO * v for v in quarter])
             shots = odometer(b, grains, p)
     total = sum(shots)
     if total > limit:

@@ -8,10 +8,11 @@ handler returns (exit code, *blocks of lines); `main` writes every
 command's output, through `_open_out`, in writes of at most 4,096 lines.
 Output is deterministic for identical invocations (seeds included);
 `--out` replaces a regular file through a temp file and a rename, so
-failures never leave partial files behind.  Every command, and each
-`verify` suite, takes only the flags it reads (`_SUITES`); any other
-flag, an abbreviated one, `--p` with `--p-max`, or `--negate` without
-`--which diffs` is an argument error.
+failures never leave partial files behind; a file with more than one hard
+link is written in place instead, so that every name sees the output.
+Every command, and each `verify` suite, takes only the flags it reads
+(`_SUITES`); any other flag, an abbreviated one, `--p` with `--p-max`, or
+`--negate` without `--which diffs` is an argument error.
 
 Exit codes: 0 success, 1 failed checks or internal anomalies (or a reader
 that closed the output pipe early), 2 bad arguments.  The environment
@@ -66,7 +67,8 @@ def _work_limit() -> int:
 
 @contextlib.contextmanager
 def _open_out(path: str | None) -> Iterator[IO[str]]:
-    """Stdout; the FIFO or device at `path`, written in place; or the regular
+    """Stdout; the FIFO, device or hard-linked file at `path`, written in
+    place (every name of a linked file sees the new output); or the regular
     file `path` resolves to, by a temp file renamed over it (no partial
     output on failure) with the old file's mode, or 0o666 less the umask."""
     if path is None:
@@ -74,19 +76,21 @@ def _open_out(path: str | None) -> Iterator[IO[str]]:
         return
     target = os.path.realpath(path)
     try:
-        mode = os.stat(target).st_mode
+        st = os.stat(target)
+        mode, links = st.st_mode, st.st_nlink
     except OSError:  # nothing there yet, or no way there: mkstemp reports which
         umask = os.umask(0)
         os.umask(umask)
-        mode = stat.S_IFREG | 0o666 & ~umask
+        mode, links = stat.S_IFREG | 0o666 & ~umask, 1
+    atomic = stat.S_ISREG(mode) and links == 1
     try:
-        if stat.S_ISREG(mode):
+        if atomic:
             fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".kspm-", suffix=".part")
         else:  # a directory fails here
             stream = open(target, "w", newline="")
     except OSError as exc:
         raise InvalidParameter(f"cannot write {path}: {exc.strerror}") from None
-    if not stat.S_ISREG(mode):
+    if not atomic:
         with stream:
             yield stream
         return

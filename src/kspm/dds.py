@@ -32,8 +32,7 @@ step matrix).
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .core import Configuration, DEFAULT_WORK_LIMIT, Params, _single_pile, check_grains
 from .errors import (
@@ -42,6 +41,9 @@ from .errors import (
     NonIntegral,
     NumericalFailure,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -231,6 +233,8 @@ def first_constant_index(traj) -> int | None:
 
 def averaging_matrix(p: int) -> np.ndarray:
     """The linear part of the averaging step (shift + mean row)."""
+    import numpy as np
+
     m = np.zeros((p, p))
     for i in range(p - 1):
         m[i, i + 1] = 1.0
@@ -240,6 +244,8 @@ def averaging_matrix(p: int) -> np.ndarray:
 
 def mean_centering_matrix(p: int) -> np.ndarray:
     """Projection sending a vector to its differences from its mean."""
+    import numpy as np
+
     return np.eye(p) - np.full((p, p), 1.0 / p)
 
 
@@ -257,6 +263,8 @@ def spectrum(params: Params) -> SpectrumReport:
     tolerances.  Roots come from the companion-matrix eigenproblem, which
     is robust at the degrees used here.
     """
+    import numpy as np
+
     p = params.p
     if p == 1:
         return SpectrumReport(1, (), 0.0, True, (0.0 + 0.0j,), 0.0)

@@ -447,6 +447,34 @@ class TestOutputFile:
         assert stat.S_IMODE(old.stat().st_mode) == 0o604
         assert old.read_text() == "2 1 2 1 2\n"
 
+    def test_out_to_hard_linked_file_writes_in_place(self, tmp_path, capsys):
+        """Both names of a twice-linked file read the new output, with the old mode."""
+        first, second = tmp_path / "first.txt", tmp_path / "second.txt"
+        first.write_text("a longer stale file\n" * 10)
+        first.chmod(0o604)
+        os.link(first, second)
+        argv = ("fixpoint", "--p", "2", "--n", "24", "--out", str(first))
+        assert run(capsys, *argv) == (0, "", "")
+        for name in (first, second):
+            assert name.read_text() == "2 1 2 1 2\n"
+            assert stat.S_IMODE(name.stat().st_mode) == 0o604
+            assert name.stat().st_nlink == 2
+        assert first.stat().st_ino == second.stat().st_ino
+        assert not list(tmp_path.glob(".kspm-*"))
+
+    def test_out_to_single_link_file_is_replaced_atomically(self, tmp_path, capsys):
+        """A file with one link is replaced by a new one: a reader of the old keeps it."""
+        target = tmp_path / "pile.txt"
+        target.write_text("stale\n")
+        inode = target.stat().st_ino
+        with open(target) as old:
+            argv = ("fixpoint", "--p", "2", "--n", "24", "--out", str(target))
+            assert run(capsys, *argv) == (0, "", "")
+            assert old.read() == "stale\n"
+        assert target.read_text() == "2 1 2 1 2\n"
+        assert target.stat().st_ino != inode
+        assert not list(tmp_path.glob(".kspm-*"))
+
     def test_out_to_fifo_writes_in_place(self, tmp_path, capsys):
         fifo = tmp_path / "fifo"
         os.mkfifo(fifo)
