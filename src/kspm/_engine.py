@@ -59,11 +59,13 @@ past i describes the pile before the avalanche, and M + 1 is the first
 s > i with p zero bytes from s on: `mask.find(bytes(p), i + 1)`.  Keeping
 the mask costs little: a firing leaves its column below p (a new rightmost
 column held p + 1, a column in a cascade at most 2p), so only its two
-neighbours can change their byte; the tail writes O(p) bytes by slices,
-b[i] going from 0 to p and b[M] from p to 0.  The search starts past
-column 0, so a caller may add grains there without writing its byte.  No
-cell past i + p (M + p after a tail) is written, and that cell ends
-positive, which is where the new support ends.
+neighbours can change their byte.  The tail writes b[i] from 0 to p, b[M]
+from p to 0, and each cell of (i, i+p] and (M, M+p] one at a time, with
+its byte: two p-long loops, which cost no more than the head, as it fired
+all of (i-p, i] first.  The search starts past column 0, so a caller may
+add grains there without writing its byte.  No cell past i + p (M + p
+after a tail) is written, and that cell ends positive, which is where the
+new support ends.
 
 `relax` is a batched variant used for large single-pile runs: one pass
 fires every enabled column as often as its current value allows, which is
@@ -285,17 +287,17 @@ def avalanche(b: list[int], p: int, mask: bytearray | None = None) -> tuple[list
             start = pos
         below = top
         if enabled and top - start >= p - 1:  # the dense tail: undo, find M, write the change
-            seg = b[top + 1 : top + pp1]
-            b[top + 1 : top + pp1] = [x - 1 for x in seg]
-            mask[top + 1 : top + pp1] = map(p.__lt__, seg)  # held p before the +1
+            for x in range(top + 1, top + pp1):
+                b[x] = v = b[x] - 1
+                mask[x] = v == p
             last = mask.find(bytes(p), top + 1) - 1
             b[top] = p  # top held 0 since it fired
             b[last] = 0  # last held p
             mask[top] = 1
             mask[last] = 0
-            seg = [x + 1 for x in b[last + 1 : last + pp1]]
-            b[last + 1 : last + pp1] = seg
-            mask[last + 1 : last + pp1] = map(p.__eq__, seg)
+            for x in range(last + 1, last + pp1):
+                b[x] = v = b[x] + 1
+                mask[x] = v == p
             top = last
             break
     del b[top + pp1 if top + p >= m else m :]  # b[top + p], the last cell written, is positive

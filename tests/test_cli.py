@@ -9,6 +9,7 @@ import tracemalloc
 
 import pytest
 
+import kspm
 from kspm.cli import _parser, main
 
 
@@ -598,11 +599,16 @@ class TestCsvBytes:
 
 
 class TestEntryPoint:
+    # each child imports the package under test, with or without PYTHONPATH or an install
+    SRC = os.path.dirname(os.path.dirname(os.path.abspath(kspm.__file__)))
+    ENV = dict(os.environ, PYTHONPATH=SRC)
+
     def test_installed_script(self):
         proc = subprocess.run(
             [sys.executable, "-m", "kspm.cli", "fixpoint", "--p", "2", "--n", "24"],
             capture_output=True,
             text=True,
+            env=self.ENV,
         )
         assert proc.returncode == 0
         assert proc.stdout == "2 1 2 1 2\n"
@@ -614,6 +620,7 @@ class TestEntryPoint:
              "--format", "csv"],
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
+            env=self.ENV,
         )
         proc.stdout.readline()
         proc.stdout.close()
@@ -627,5 +634,6 @@ class TestEntryPoint:
             [sys.executable, "-m", "kspm.cli", "fixpoint", "--n", "24"],
             capture_output=True,
             text=True,
+            env=self.ENV,
         )
         assert proc.returncode == 2

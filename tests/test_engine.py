@@ -471,6 +471,13 @@ class TestAvalancheMask:
         p, rest = case
         self.check([p] + rest, p)
 
+    @pytest.mark.parametrize("p", [16, 64, 1000])
+    def test_dense_tail_at_large_p(self, p):
+        # the head fires 0, p, p-1, ..., 1 (p + 1 firings), filling (0, p]; the run of p's
+        # carries the tail to last = 3p
+        assert TestAvalancheKernel.check([p + 1] + [p] * (3 * p) + [1], p)
+        self.check([p] * (3 * p + 1) + [1], p)
+
     @pytest.mark.parametrize("p", range(1, 7))
     def test_steps_against_leftmost(self, p):
         ref: list[int] = []
