@@ -23,16 +23,16 @@ this into the averaging system on Z^p,
 whose state Y_n = x_to_avg(X_n) holds consecutive shot-vector differences,
 so `trajectory_of` reads each Y_n off them: sum(Y_n) + b_n = p (a_{n+1} - a_n)
 is the identity above, which it checks once.
-All dynamics here stay in exact integer arithmetic; floating point
-appears only in `spectrum`, which checks the eigenvalue claims behind the
-contraction argument (roots of R, spectral radius of the mean-centered
-step matrix).
+All dynamics here stay in exact integer arithmetic.  So do the claims
+behind the contraction argument (the roots of R are distinct, their
+modulus is at most (p-1)/p, and with 0 they are the mean-centered step
+matrix's eigenvalues), which `failed_claim` proves in integers and
+Fractions; floating point appears only in the roots `spectrum` reports.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from .core import Configuration, DEFAULT_WORK_LIMIT, Params, _single_pile, check_grains
 from .errors import (
@@ -41,9 +41,6 @@ from .errors import (
     NonIntegral,
     NumericalFailure,
 )
-
-if TYPE_CHECKING:
-    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -108,17 +105,11 @@ class AvgVector:
 
 @dataclass(frozen=True)
 class SpectrumReport:
-    """Numerical check of the contraction eigenvalues for one p."""
+    """The roots of R for one p in floats, and their largest modulus."""
 
     p: int
     roots: tuple[complex, ...]
     max_modulus: float
-    distinct: bool
-    dm_eigenvalues: tuple[complex, ...]
-    dm_max_error: float
-
-    def modulus_bound(self) -> float:
-        return (self.p - 1) / self.p
 
 
 def pile(
@@ -231,70 +222,70 @@ def first_constant_index(traj) -> int | None:
     return None
 
 
-def averaging_matrix(p: int) -> np.ndarray:
-    """The linear part of the averaging step (shift + mean row)."""
-    import numpy as np
-
-    m = np.zeros((p, p))
-    for i in range(p - 1):
-        m[i, i + 1] = 1.0
-    m[p - 1, :] = 1.0 / p
-    return m
+def r_coefficients(p: int) -> list[int]:
+    """c_k = k + 1 for k < p: P(x) = sum c_k x^k = p R(x), low to high."""
+    return list(range(1, p + 1))
 
 
-def mean_centering_matrix(p: int) -> np.ndarray:
-    """Projection sending a vector to its differences from its mean."""
-    import numpy as np
+def failed_claim(c: list[int]) -> str | None:
+    """The first claim about P(x) = sum c_k x^k, p = len(c) >= 2, that fails,
+    in exact arithmetic; None when all three hold.  For c = r_coefficients(p)
+    they say that the p - 1 roots of R are distinct, have modulus at most
+    (p-1)/p, and with 0 are the eigenvalues of the centered step matrix
+    DM = (I - J/p) A, A the averaging step's linear part (shift up, last row
+    all 1/p), so the averaging system contracts.
 
-    return np.eye(p) - np.full((p, p), 1.0 / p)
+    Distinct roots: gcd(P, P') is a nonzero constant, by Euclid in Fractions.
 
+    Modulus: 0 < c_0 <= ... <= c_{p-1}, and b = max c_k / c_{k+1} is (p-1)/p.
+    By the Enestrom-Kakeya theorem (Anderson, Saff & Varga, "On the
+    Enestrom-Kakeya theorem and its sharpness") every root z has |z| <= b.
+    Proof: Q(z) = P(b z) has coefficients d_k = c_k b^k, and b >= c_k / c_{k+1}
+    gives 0 < d_0 <= ... <= d_n, n = p - 1.  (1 - z) Q(z) is
+    d_0 + sum_{k=1}^{n} (d_k - d_{k-1}) z^k - d_n z^{n+1}, and for |z| > 1 all
+    but the last term sum to modulus at most d_n |z|^n < |d_n z^{n+1}|, so Q
+    has no root there.  At p = 2 the root -1/2 attains the bound.
 
-_DISTINCT = 1e-9  # roots closer than this count as one in `spectrum`
+    Centered step matrix: (x - 1) P(x) = p x^p - (x^{p-1} + ... + 1), which
+    is p det(xI - A), A being a companion matrix.  A 1 = 1 and 1^T A 1 = p,
+    so by the matrix determinant lemma, for DM = A - 1 (1^T A) / p,
+    det(xI - DM) = det(xI - A) (1 + 1^T A (xI - A)^{-1} 1 / p)
+                 = det(xI - A) x / (x - 1) = x R(x).
+    """
+    from fractions import Fraction
+
+    p = len(c)
+    a = [Fraction(v) for v in c]
+    b = [k * v for k, v in enumerate(a)][1:]  # P'
+    while any(b):
+        while not b[-1]:
+            b.pop()
+        while len(a) >= len(b):  # a becomes a mod b, one leading term at a time
+            q = a.pop() / b[-1]
+            for k, v in enumerate(b[:-1], len(a) + 1 - len(b)):
+                a[k] -= q * v
+        a, b = b, a
+    if len(a) != 1:
+        return "repeated root: gcd(P, P') is not a nonzero constant"
+    if not 0 < c[0] or any(x > y for x, y in zip(c, c[1:])):
+        return "coefficients not positive and nondecreasing"
+    bound = max(Fraction(x, y) for x, y in zip(c, c[1:]))
+    if bound != Fraction(p - 1, p):
+        return f"modulus bound max c_k/c_(k+1) = {bound}, not (p-1)/p"
+    if [x - y for x, y in zip([0, *c], [*c, 0])] != [-1] * p + [p]:
+        return "(x-1) P(x) is not p x^p - (x^(p-1) + ... + 1)"
+    return None
 
 
 def spectrum(params: Params) -> SpectrumReport:
-    """Roots of R(x) = x^{p-1} + ((p-1)/p) x^{p-2} + ... + 1/p, plus the
-    eigenvalues of the mean-centered step matrix.
-
-    The claims under test: the p-1 roots are pairwise distinct with
-    modulus at most (p-1)/p, and the centered matrix's eigenvalues are
-    exactly {0} plus those roots (hence a contraction).  `distinct` and
-    `dm_max_error` report the outcome; callers assert against their own
-    tolerances.  Roots come from the companion-matrix eigenproblem, which
-    is robust at the degrees used here.
-    """
+    """The roots of R(x) = x^{p-1} + ((p-1)/p) x^{p-2} + ... + 1/p in floats,
+    from the companion-matrix eigenproblem, sorted, with their largest
+    modulus; `failed_claim` proves what they satisfy in exact arithmetic."""
     import numpy as np
 
-    p = params.p
-    if p == 1:
-        return SpectrumReport(1, (), 0.0, True, (0.0 + 0.0j,), 0.0)
-    coeffs = [(p - j) / p for j in range(p)]  # leading 1, then (p-1)/p ... 1/p
     try:
-        roots = np.roots(coeffs)
-        dm = mean_centering_matrix(p) @ averaging_matrix(p)
-        dm_eig = np.linalg.eigvals(dm)
+        roots = np.roots(r_coefficients(params.p)[::-1])
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(str(exc)) from exc
     roots = tuple(sorted(map(complex, roots), key=lambda z: (z.real, z.imag)))
-    max_modulus = max(abs(z) for z in roots)
-    distinct = all(
-        abs(roots[i] - roots[j]) > _DISTINCT
-        for i in range(len(roots))
-        for j in range(i + 1, len(roots))
-    )
-    # match the multiset {0} + roots against the computed eigenvalues
-    expected = [0j] + list(roots)
-    eig = sorted(map(complex, dm_eig), key=lambda z: (z.real, z.imag))
-    err = _multiset_distance(expected, eig)
-    return SpectrumReport(p, roots, float(max_modulus), distinct, tuple(eig), err)
-
-
-def _multiset_distance(expected: list[complex], got: list[complex]) -> float:
-    """Greedy nearest matching; adequate for well-separated eigenvalues."""
-    remaining = list(got)
-    worst = 0.0
-    for z in expected:
-        best = min(range(len(remaining)), key=lambda i: abs(remaining[i] - z))
-        worst = max(worst, abs(remaining[best] - z))
-        remaining.pop(best)
-    return worst
+    return SpectrumReport(params.p, roots, max(map(abs, roots), default=0.0))

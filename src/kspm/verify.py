@@ -27,9 +27,6 @@ from .core import (
 )
 from .errors import InvalidParameter
 
-_TOLERANCE = 1e-9  # modulus-bound slack of check_spectrum (roots: spectrum's default)
-_DM_TOLERANCE = 1e-7  # centered-step eigenvalue error of check_spectrum
-
 
 @dataclass
 class CheckResult:
@@ -118,37 +115,19 @@ def check_support(p: int, n_max: int, work_limit: int = DEFAULT_WORK_LIMIT) -> C
 
 
 def check_spectrum(p_max: int) -> CheckResult:
-    """Distinct roots, modulus bound, and centered-matrix eigenvalues."""
+    """For every p in 2..p_max, `dds.failed_claim` proves in exact arithmetic
+    that the roots of R are distinct, that their modulus is at most (p-1)/p,
+    and that with 0 they are the centered step matrix's eigenvalues."""
     name = f"spectrum p<={p_max}"
     if type(p_max) is not int or p_max < 2:
         raise InvalidParameter(f"p_max must be an int >= 2, got {p_max!r}")
-    worst_dm = 0.0
     for p in range(2, p_max + 1):
-        report = dds.spectrum(Params(p))
-        margin = report.max_modulus - report.modulus_bound()
-        worst_dm = max(worst_dm, report.dm_max_error)
-        if not report.distinct:
-            return CheckResult(
-                name, False, f"roots not pairwise distinct at p={p}",
-                {"p": p, "roots": [[z.real, z.imag] for z in report.roots]},
-            )
-        if margin > _TOLERANCE:
-            return CheckResult(
-                name, False,
-                f"max modulus {report.max_modulus:.12f} exceeds (p-1)/p at p={p}",
-                {"p": p, "max_modulus": report.max_modulus, "bound": report.modulus_bound()},
-            )
-        if report.dm_max_error > _DM_TOLERANCE:
-            return CheckResult(
-                name, False,
-                f"centered-step eigenvalues off by {report.dm_max_error:.3e} at p={p}",
-                {"p": p, "dm_max_error": report.dm_max_error},
-            )
-    return CheckResult(
-        name, True,
-        f"roots distinct, modulus within {_TOLERANCE:.0e} of bound, "
-        f"eigenvalue error <= {worst_dm:.2e}",
-    )
+        c = dds.r_coefficients(p)
+        reason = dds.failed_claim(c)
+        if reason is not None:
+            return CheckResult(name, False, f"{reason} at p={p}", {"p": p, "coefficients": c})
+    return CheckResult(name, True, "roots distinct, modulus <= (p-1)/p, "
+                       "centered-step eigenvalues {0} + roots, exact")
 
 
 def check_waves(p: int, grains: int, work_limit: int = DEFAULT_WORK_LIMIT) -> CheckResult:

@@ -149,3 +149,21 @@ def brute_holes(fired):
         return []
     top = max(s)
     return [i for i in range(top) if i not in s and i + 1 in s]
+
+
+def centered_step_eigenvalues(p):
+    """numpy's eigenvalues of DM = (I - J/p) A, A the averaging step's linear
+    part: shift up, last row all 1/p."""
+    import numpy as np
+
+    a = np.eye(p, k=1)
+    a[-1, :] = 1 / p
+    return np.linalg.eigvals((np.eye(p) - np.full((p, p), 1 / p)) @ a)
+
+
+def within_one_each(got, expected, tol):
+    """As many values as expected, and each expected value within tol of
+    exactly one of them: a bijection when the expected values are more than
+    2 tol apart."""
+    return len(got) == len(expected) and all(
+        sum(abs(w - z) < tol for w in got) == 1 for z in expected)

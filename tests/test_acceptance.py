@@ -145,11 +145,15 @@ def test_criterion_7():
 @criterion(8, "spectrum p in 2..64: distinct roots, modulus bound, centered-matrix eigenvalues; < 10 s")
 def test_criterion_8():
     t0 = time.perf_counter()
-    for p in range(2, 65):
+    result = verify.check_spectrum(64)  # the exact proof
+    assert result.passed, result.detail
+    for p in range(2, 65):  # numpy agrees with it
         report = spectrum(Params(p))
-        assert report.distinct, f"coincident roots at p={p}"
+        assert len(report.roots) == p - 1, f"root count wrong at p={p}"
         assert report.max_modulus <= (p - 1) / p + 1e-9, f"modulus bound broken at p={p}"
-        assert report.dm_max_error <= 1e-7, f"eigenvalue mismatch at p={p}"
+        assert reference.within_one_each(
+            reference.centered_step_eigenvalues(p), [0, *report.roots], 1e-7
+        ), f"eigenvalue mismatch at p={p}"
     elapsed = time.perf_counter() - t0
     assert elapsed < 10.0, f"took {elapsed:.1f} s"
 

@@ -314,6 +314,19 @@ class TestVerify:
         assert out.splitlines()[0] == "FAIL: spectrum p<=4 synthetic failure"
         assert 'counterexample: {"p":3}' in out
 
+    def test_spectrum_failure_counterexample_is_json(self, capsys, monkeypatch):
+        from kspm import dds
+
+        monkeypatch.setattr(dds, "r_coefficients", lambda p: [2 * k for k in range(1, p + 1)])
+        code, out, _ = run(capsys, "verify", "spectrum", "--p-max", "4")
+        assert code == 1
+        first, second = out.splitlines()
+        assert first == "FAIL: spectrum p<=4 (x-1) P(x) is not p x^p - (x^(p-1) + ... + 1) at p=2"
+        assert second.startswith("counterexample: ")
+        counterexample = json.loads(second[len("counterexample: "):])
+        assert counterexample == {"p": 2, "coefficients": [2, 4]}
+        assert all(type(v) is int for v in [counterexample["p"], *counterexample["coefficients"]])
+
 
 class TestFigureData:
     def test_heights_row_count(self, capsys):

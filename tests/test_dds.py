@@ -14,6 +14,7 @@ from kspm import (
     XVector,
     avg_step,
     avg_trajectory,
+    dds,
     first_constant_index,
     fixed_point,
     incremental_scan,
@@ -384,12 +385,16 @@ class TestFirstConstantIndex:
 
 
 class TestSpectrum:
+    """numpy's roots of R and eigenvalues of the centered step matrix are the
+    oracle of the exact verdict of `dds.failed_claim`."""
+
     def test_p2_closed_form(self):
         report = spectrum(Params(2))
         assert len(report.roots) == 1
         assert abs(report.roots[0] - (-0.5)) < 1e-12
         assert abs(report.max_modulus - 0.5) < 1e-12
-        assert report.distinct
+        assert reference.within_one_each(reference.centered_step_eigenvalues(2), [0, -0.5], 1e-12)
+        assert dds.failed_claim(dds.r_coefficients(2)) is None
 
     def test_p3_closed_form(self):
         report = spectrum(Params(3))
@@ -397,17 +402,34 @@ class TestSpectrum:
         for z in report.roots:
             assert abs(abs(z) - math.sqrt(1 / 3)) < 1e-12
         assert report.max_modulus <= 2 / 3 + 1e-9
+        assert dds.failed_claim(dds.r_coefficients(3)) is None
 
     def test_p1_trivial(self):
         report = spectrum(Params(1))
         assert report.roots == ()
-        assert report.distinct
-        assert report.dm_max_error == 0.0
+        assert report.max_modulus == 0.0
+        assert list(reference.centered_step_eigenvalues(1)) == [0.0]
 
     @pytest.mark.parametrize("p", list(range(2, 65)))
     def test_sweep(self, p):
+        assert dds.failed_claim(dds.r_coefficients(p)) is None
         report = spectrum(Params(p))
-        assert report.distinct
-        assert report.max_modulus <= (p - 1) / p + 1e-9
-        assert report.dm_max_error <= 1e-7
         assert len(report.roots) == p - 1
+        assert report.max_modulus <= (p - 1) / p + 1e-9
+        assert reference.within_one_each(
+            reference.centered_step_eigenvalues(p), [0, *report.roots], 1e-7)
+
+    @pytest.mark.parametrize(
+        "c, reason",
+        [
+            pytest.param([1, 2, 1], "repeated root", id="repeated-root"),
+            pytest.param([3, 2, 1], "coefficients not positive and nondecreasing", id="decreasing"),
+            pytest.param([1, 2, 4], "modulus bound max c_k/c_(k+1) = 1/2", id="bound"),
+            pytest.param([2, 4, 6], "(x-1) P(x) is not p x^p", id="not-the-step-matrix"),
+        ],
+    )
+    def test_bad_polynomial_fails(self, c, reason):
+        """(x+1)^2; decreasing, outside the theorem's hypothesis; one coefficient
+        off, so the bound is 1/2 and not 2/3; and 2 P, which passes the first
+        three claims but is not p det(xI - A)."""
+        assert dds.failed_claim(c).startswith(reason)

@@ -80,6 +80,7 @@ def test_readme_cli_outputs(capsys):
         "fixpoint --p 2 --n 24",
         "avalanche --p 2 --k 25",
         "avalanche --p 2 --upto 1000 --format csv",
+        "verify spectrum --p-max 64",
         "verify waves --p 4 --n 2000",
     ]
 

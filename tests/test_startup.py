@@ -1,4 +1,4 @@
-"""Start-up: only a relaxed pile or a spectrum loads numpy.
+"""Start-up: in the CLI, only a relaxed pile loads numpy.
 
 Each test runs a fresh interpreter with `sys.modules["numpy"] = None`, so
 any `import numpy` raises, and compares its stdout byte for byte with the
@@ -68,6 +68,7 @@ COMMANDS = [
     ("verify", "recurrence", "--p-max", "3", "--n-max", "40"),
     ("verify", "linkage", "--p-max", "3", "--n-max", "40"),
     ("verify", "waves", "--p-max", "3", "--n", "4095"),
+    ("verify", "spectrum", "--p-max", "64"),
 ]
 
 

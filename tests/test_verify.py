@@ -50,14 +50,15 @@ class TestSuitesPass:
     def test_recurrence(self):
         assert check_recurrence(3, 60).passed
 
-    def test_spectrum_tolerance_is_a_module_constant(self, monkeypatch):
-        from kspm import verify
-
-        # max_modulus - (p-1)/p > -1 for every p, so the modulus check must fail
-        monkeypatch.setattr(verify, "_TOLERANCE", -1.0)
+    def test_spectrum_fails_on_a_bad_polynomial(self, monkeypatch):
+        # (x+1)^2 in place of 3 R at p=3: the first p whose claims fail
+        good = dds.r_coefficients
+        monkeypatch.setattr(dds, "r_coefficients", lambda p: [1, 2, 1] if p == 3 else good(p))
         result = check_spectrum(4)
         assert not result.passed
-        assert "exceeds" in result.detail
+        assert result.line() == (
+            "FAIL: spectrum p<=4 repeated root: gcd(P, P') is not a nonzero constant at p=3")
+        assert result.counterexample == {"p": 3, "coefficients": [1, 2, 1]}
 
     def test_result_line_format(self):
         line = check_spectrum(4).line()
