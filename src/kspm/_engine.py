@@ -19,14 +19,15 @@ below i that can have become enabled is i - 1, so the scan cursor backs
 up by at most one step per firing.  `worklist` (rightmost, or
 seeded random) keeps them in a list and fires one slot of it.
 
-`avalanche` is a second leftmost loop, kept apart on purpose: the grain
-scan calls it once per grain and needs no firing list or per-firing
-budget check.  It needs a stable pile plus one grain on column 0
-(b[0] > p, the one enabled column).  Then no column fires twice: at a
-first repeat, column i would hold at most p + (p+1) - (p+1) = p, having
-got at most p from i+1 and 1 from i-p (column 0 starts at p+1 but gets
-only p).  So nothing past the old support fires, and the scan charges
-the avalanche, at most the width long, to the budget once per grain.
+`avalanches` is a second leftmost loop, kept apart on purpose: it owns
+the grain scan, adding grains one at a time on column 0 of a stable pile,
+and needs no firing list or per-firing budget check.  Each avalanche starts
+from a stable pile plus one grain on column 0 (b[0] > p, the one enabled
+column).  Then no column fires twice: at a first repeat, column i would
+hold at most p + (p+1) - (p+1) = p, having got at most p from i+1 and 1
+from i-p (column 0 starts at p+1 but gets only p).  So nothing past the
+old support fires, and the avalanche, at most the width long, is charged
+to the budget once per grain.
 
 A run is a chain of cascades: a new rightmost column fires, then the ones
 left of it while the left neighbour held a grain.  A cascade never enters
@@ -53,7 +54,7 @@ down to the previous one + 1; those columns end as they began, so
 `firing_order` reads the order off the final pile.
 
 M is found with one search over a byte mask, mask[x] == (b[x] == p) and 0
-past the end of b, which the caller keeps beside b from grain to grain.
+past the end of b, built once from the start pile and kept beside b.
 The head writes nothing past i + p, so once (i, i+p] is undone the mask
 past i describes the pile before the avalanche, and M + 1 is the first
 s > i with p zero bytes from s on: `mask.find(bytes(p), i + 1)`.  Keeping
@@ -62,10 +63,10 @@ column held p + 1, a column in a cascade at most 2p), so only its two
 neighbours can change their byte.  The tail writes b[i] from 0 to p, b[M]
 from p to 0, and each cell of (i, i+p] and (M, M+p] one at a time, with
 its byte: two p-long loops, which cost no more than the head, as it fired
-all of (i-p, i] first.  The search starts past column 0, so a caller may
-add grains there without writing its byte.  No cell past i + p (M + p
-after a tail) is written, and that cell ends positive, which is where the
-new support ends.
+all of (i-p, i] first.  The search starts past column 0, so the grains
+added there leave its byte alone.  No cell past i + p (M + p after a tail)
+is written, and that cell ends positive, which is where the new support
+ends: b, grown only for a write past its end, stays trimmed.
 
 `relax` is a batched variant used for large single-pile runs: one pass
 fires every enabled column as often as its current value allows, which is
@@ -139,7 +140,7 @@ from __future__ import annotations
 
 import math
 import random
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .errors import Inconsistent, WorkLimitExceeded
 
@@ -231,79 +232,96 @@ def leftmost(b: list[int], p: int, limit: int, fired: list[int] | None = None) -
     return total
 
 
-def avalanche(b: list[int], p: int, mask: bytearray | None = None) -> tuple[list[int], int, int]:
-    """Leftmost avalanche from b, whose one enabled column is b[0] > p: (head, start,
-    last), the columns fired singly, in order, the first column of the run of fired
-    columns that ends at max(head), which is L'(p, k) (module docstring), and the
-    dense tail (max(head), last].
-
-    `mask` holds mask[x] == (b[x] == p), 0 past the end of b, except maybe at
-    column 0, and is kept so; one is built from b when none is given."""
+def avalanches(
+    b: list[int], p: int, grains: int, limit: int
+) -> Iterator[tuple[int, list[int], int, int, list[int]]]:
+    """Add `grains` grains one at a time on column 0 of the stable pile b, each followed
+    by its leftmost avalanche, and yield (k, head, lp, last, b) after each: k the grains
+    now in b, head the columns fired singly, in order, lp the first column of the run of
+    fired columns that ends at max(head), which is L'(p, k) (module docstring), and
+    (max(head), last] the dense tail; an empty avalanche is ([], 0, -1).  b is mutated
+    in place and trimmed at every yield.  The firing budget `limit` covers all the
+    grains and is charged after each avalanche."""
     pp1 = p + 1
     pm1 = p - 1
+    zeros = bytes(p)
+    trim(b)
+    if not b:
+        b.append(0)
+    k0 = sum(i * v for i, v in enumerate(b, 1))
     m = len(b)
-    b.extend([0] * p)  # room for the firings at the old support's end
-    if mask is None:
-        mask = bytearray(map(p.__eq__, b))
-    elif len(mask) < m + p:
-        mask.extend(bytes(m + p - len(mask)))
-    mask[0] = 0  # b[0] > p
-    head: list[int] = []
-    append = head.append
-    enabled = 1
-    pos = 0
-    top = below = -1  # largest fired column, now and at the last cascade's end
-    start = 0  # first column of the fired block that ends at top
-    while enabled:
-        v = b[pos]
-        while v <= p:
-            pos += 1
+    mask = bytearray(map(p.__eq__, b)) + zeros  # mask[x] == (b[x] == p), 0 past the end of b
+    budget = limit
+    for k in range(k0 + 1, k0 + grains + 1):
+        b[0] += 1
+        if b[0] <= p:
+            yield k, [], 0, -1, b
+            continue
+        head: list[int] = []
+        append = head.append
+        enabled = 1
+        pos = 0
+        top = below = -1  # largest fired column, now and at the last cascade's end
+        start = 0  # first column of the fired block that ends at top
+        while enabled:
             v = b[pos]
-        append(pos)
-        b[pos] = v - pp1  # below p: mask[pos] stays 0
-        enabled -= 1  # fired once, so at most p now
-        if pos > top:
-            top = pos
-        ip = pos + p
-        ov = b[ip]
-        b[ip] = ov + 1
-        if ov == p:
-            enabled += 1
-            mask[ip] = 0
-        elif ov == pm1:
-            mask[ip] = 1
-        if pos:
-            ov = b[pos - 1]
-            if ov:
-                b[pos - 1] = ov + p
-                if ov == p:
-                    mask[pos - 1] = 0
+            while v <= p:
+                pos += 1
+                v = b[pos]
+            append(pos)
+            b[pos] = v - pp1  # below p: mask[pos] stays 0
+            enabled -= 1  # fired once, so at most p now
+            if pos > top:
+                top = pos
+            ip = pos + p
+            if ip >= m:  # past the support end: b and the mask grow
+                b.extend([0] * (ip + 1 - m))
+                mask.extend(bytes(ip + 1 - m))
+                m = ip + 1
+            ov = b[ip]
+            b[ip] = ov + 1
+            if ov == p:
                 enabled += 1
-                pos -= 1
-                continue
-            b[pos - 1] = p
-            mask[pos - 1] = 1
-        if pos != below + 1:  # the cascade [pos, top] ends; it joins the block below if adjacent
-            start = pos
-        below = top
-        if enabled and top - start >= p - 1:  # the dense tail: undo, find M, write the change
-            for x in range(top + 1, top + pp1):
-                b[x] = v = b[x] - 1
-                mask[x] = v == p
-            last = mask.find(bytes(p), top + 1) - 1
-            b[top] = p  # top held 0 since it fired
-            b[last] = 0  # last held p
-            mask[top] = 1
-            mask[last] = 0
-            for x in range(last + 1, last + pp1):
-                b[x] = v = b[x] + 1
-                mask[x] = v == p
-            top = last
-            break
-    del b[top + pp1 if top + p >= m else m :]  # b[top + p], the last cell written, is positive
-    while not b[-1]:  # trim an untrimmed input; grains remain
-        b.pop()
-    return head, start, top
+                mask[ip] = 0
+            elif ov == pm1:
+                mask[ip] = 1
+            if pos:
+                ov = b[pos - 1]
+                if ov:
+                    b[pos - 1] = ov + p
+                    if ov == p:
+                        mask[pos - 1] = 0
+                    enabled += 1
+                    pos -= 1
+                    continue
+                b[pos - 1] = p
+                mask[pos - 1] = 1
+            if pos != below + 1:  # the cascade [pos, top] ends; joins the block below if adjacent
+                start = pos
+            below = top
+            if enabled and top - start >= pm1:  # the dense tail: undo, find M, write the change
+                for x in range(top + 1, top + pp1):
+                    b[x] = v = b[x] - 1
+                    mask[x] = v == p
+                last = mask.find(zeros, top + 1) - 1
+                b[top] = p  # top held 0 since it fired
+                b[last] = 0  # last held p
+                mask[top] = 1
+                mask[last] = 0
+                if last + p >= m:
+                    b.extend([0] * (last + pp1 - m))
+                    mask.extend(bytes(last + pp1 - m))
+                    m = last + pp1
+                for x in range(last + 1, last + pp1):
+                    b[x] = v = b[x] + 1
+                    mask[x] = v == p
+                break
+        else:
+            last = top
+        budget -= len(head) + last - top
+        if budget < 0:
+            raise WorkLimitExceeded(f"firing budget {limit} exceeded")
+        yield k, head, start, last, b
 
 
 def firing_order(b: Sequence[int], p: int, head: Sequence[int], last: int) -> list[int]:

@@ -11,13 +11,13 @@ The density column L'(p,k) is where the avalanche stops skipping: from
 L'(p,k) up to its largest column everything fires.  L(p,N) aggregates the
 maximum of L'(p,k) over k <= N.
 
-`steps` is the one grain-by-grain loop, on the `_engine.avalanche` kernel,
-which fires the dense tail (max(head), last] in one step and returns L'
-as the start of its last fired block; a byte mask of the cells at p lives
-beside the pile across grains, so the kernel finds each tail's end with
-one search.  `ROWS`, one row formatter per format, works on a step
-(k, head, lp, last, b) and p; a full firing list is a head with an empty
-tail (last = max(fired)) and its L', the int `density_column` returns.
+`steps` checks its arguments and runs the `_engine.avalanches` generator,
+the one grain-by-grain loop: it fires each dense tail (max(head), last] in
+one step, finding its end with one search of a byte mask of the cells at p
+kept beside the pile, and yields L' as the start of the last fired block.
+`ROWS[format](p)` is that format's one row formatter of a step (k, head,
+lp, last, b); a full firing list is a head with an empty tail
+(last = max(fired)) and its L', the int `density_column` returns.
 `incremental_scan` sums the firings and L(p, N), streams one record per
 grain to an optional sink, and keeps only the current pile in memory, so
 scans up to millions of grains need memory proportional to the support
@@ -34,7 +34,7 @@ from typing import Callable, IO, Iterator, Optional, Sequence
 
 from . import _engine
 from .core import Configuration, DEFAULT_WORK_LIMIT, Params, check_grains, check_limit
-from .errors import InvalidParameter, NotStable, WorkLimitExceeded
+from .errors import InvalidParameter, NotStable
 
 
 @dataclass(frozen=True)
@@ -93,11 +93,9 @@ def run_avalanche(
         raise NotStable("avalanches start from a stable configuration")
     check_limit(work_limit)
     p = c.params.p
-    b = list(add_grain(c).diffs)
-    head, _, last = _engine.avalanche(b, p) if b[0] > p else ([], 0, -1)
+    check_grains(c.grain_count() + 1, p=p)
+    _, head, _, last, b = next(_engine.avalanches(list(c.diffs), p, 1, work_limit))
     fired = _engine.firing_order(b, p, head, last)
-    if len(fired) > work_limit:
-        raise WorkLimitExceeded(f"firing budget {work_limit} exceeded")
     return Avalanche(k, tuple(fired)), Configuration._trusted(tuple(b), c.params)
 
 
@@ -123,22 +121,13 @@ def steps(
     lp = L'(p, k) (an empty avalanche is ([], 0, -1)).  `b` is the live
     pile, which the next step mutates: copy it, or read the whole firing
     order off it with `_engine.firing_order`, before resuming.  The
-    kernel's mask of the cells at p lives beside b across grains.  The
-    firing budget covers the whole scan and is charged after each avalanche.
+    arguments are checked at the first step.  The firing budget covers the
+    whole scan and is charged after each avalanche.
     """
     Params(p)
     check_grains(grains, 1, p)
     check_limit(work_limit)
-    b = [0]
-    mask = bytearray(1)  # mask[x] == (b[x] == p)
-    budget = work_limit
-    for k in range(1, grains + 1):
-        b[0] += 1
-        head, lp, last = _engine.avalanche(b, p, mask) if b[0] > p else ([], 0, -1)
-        budget -= len(head) + last - max(head) if head else 0
-        if budget < 0:
-            raise WorkLimitExceeded(f"firing budget {work_limit} exceeded")
-        yield k, head, lp, last, b
+    yield from _engine.avalanches([0], p, grains, work_limit)
 
 
 def incremental_scan(
@@ -175,21 +164,21 @@ class ScanCsvWriter:
 
     def __call__(self, k: int, a: Avalanche, c: Configuration) -> None:
         lp, last = density_column(a), max(a.fired, default=-1)
-        self._write(ROWS["csv"](k, a.fired, lp, last, c.diffs, c.params.p) + "\n")
+        self._write(ROWS["csv"](c.params.p)(k, a.fired, lp, last, c.diffs) + "\n")
 
 
 # max_fired is left empty for an avalanche that fired nothing
 CSV_HEADER = "k,fired_count,max_fired,l_prime,support_width"
 
-# output format -> one row over a step (k, head, lp, last, b) and p, without the newline
-ROWS: dict[str, Callable[[int, Sequence[int], int, int, Sequence[int], int], str]] = {
-    "csv": lambda k, h, lp, last, b, p: (
+# output format -> p -> the row, without the newline, of a step (k, head, lp, last, b)
+ROWS: dict[str, Callable[[int], Callable[[int, Sequence[int], int, int, Sequence[int]], str]]] = {
+    "csv": lambda p: lambda k, h, lp, last, b: (
         f"{k},{len(h) + last - max(h)},{last},{lp},{len(b)}" if h else f"{k},0,,0,{len(b)}"
     ),
-    "json": lambda k, h, lp, last, b, p: (
+    "json": lambda p: lambda k, h, lp, last, b: (
         f'{{"k":{k},"fired":[{",".join(map(str, _engine.firing_order(b, p, h, last)))}]}}'
     ),
-    "text": lambda k, h, lp, last, b, p: (
+    "text": lambda p: lambda k, h, lp, last, b: (
         f"{k}: {' '.join(map(str, _engine.firing_order(b, p, h, last)))}"
     ),
 }

@@ -34,8 +34,8 @@ import tempfile
 from typing import IO, Iterator
 
 from . import avalanche, dds, verify
-from .core import DEFAULT_WORK_LIMIT, Params, check_grains, check_limit, fixed_point
-from .errors import InvalidParameter, KSPMError
+from .core import DEFAULT_WORK_LIMIT, Params, check_grains, check_limit
+from .errors import InvalidParameter, KSPMError, WorkLimitExceeded
 
 FORMATS = ("text", "json", "csv")
 WHICH = ("heights", "shot", "diffs")
@@ -180,22 +180,24 @@ def cmd_fixpoint(args: argparse.Namespace, limit: int) -> tuple:
 
 def cmd_avalanche(args: argparse.Namespace, limit: int) -> tuple:
     params = Params(args.p)
-    row = avalanche.ROWS[args.format]
+    row = avalanche.ROWS[args.format](args.p)
     header = [avalanche.CSV_HEADER] if args.format == "csv" else []
     if args.k is None:
         if args.upto < 1:
             raise InvalidParameter(f"--upto must be >= 1, got {args.upto}")
         scan = avalanche.steps(args.upto, args.p, limit)
-        return 0, header, (row(*step, args.p) for step in scan)
+        return 0, header, itertools.starmap(row, scan)
     if args.k < 1:
         raise InvalidParameter(f"--k must be >= 1, got {args.k}")
-    previous = fixed_point(args.k - 1, params, limit)
+    previous, shots = dds.pile(args.k - 1, params, limit)
     record, result = avalanche.run_avalanche(previous, args.k, limit)
+    if sum(shots.counts) + len(record.fired) > limit:  # one budget for pi(k - 1) and the avalanche
+        raise WorkLimitExceeded(f"firing budget {limit} exceeded")
     fired = record.fired
     if args.format == "text":  # a single record prints its columns only, and nothing when empty
         return 0, [" ".join(map(str, fired))] if fired else []
     lp = avalanche.density_column(record)
-    return 0, header, [row(args.k, fired, lp, max(fired, default=-1), result.diffs, args.p)]
+    return 0, header, [row(args.k, fired, lp, max(fired, default=-1), result.diffs)]
 
 
 def cmd_verify(args: argparse.Namespace, limit: int) -> tuple:

@@ -212,7 +212,7 @@ def check_density(p: int, n_max: int, work_limit: int = DEFAULT_WORK_LIMIT) -> C
             l_global = lp
         if k & (k - 1) == 0:
             checkpoints[k] = l_global
-        prev_emergence = analysis._tight_index(b, p)  # stable: the kernel's proof
+        prev_emergence = analysis._tight_index(b, p)  # stable: the generator's proof
     checkpoints[n_max] = l_global
     return CheckResult(
         name, True,

@@ -209,6 +209,18 @@ class TestScanOutput:
         # whole rows written before the failing grain's chunk, nothing else
         assert full.startswith(out) and out.endswith("\n")
 
+    def test_single_k_budget_covers_the_pile_before_it(self, capsys, monkeypatch):
+        # pi(K - 1) and the K-th avalanche fire Σu(K) in all, charged to one budget
+        argv = ("avalanche", "--p", "2", "--k", "5007", "--format", "csv")
+        _, out, _ = run(capsys, *argv)
+        total = sum(json.loads(run(capsys, "fixpoint", "--p", "2", "--n", "5007",
+                                   "--format", "json")[1])["shot_vector"])
+        assert int(out.splitlines()[1].split(",")[1]) > 1  # Σu(K - 1) < Σu(K) - 1
+        monkeypatch.setenv("KSPM_WORK_LIMIT", str(total))
+        assert run(capsys, *argv) == (0, out, "")
+        monkeypatch.setenv("KSPM_WORK_LIMIT", str(total - 1))
+        assert run(capsys, *argv) == (1, "", f"kspm: firing budget {total - 1} exceeded\n")
+
 
 class TestVerify:
     def test_waves(self, capsys):

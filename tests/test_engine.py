@@ -1,7 +1,7 @@
 """The warm-started relaxation against a relaxation of the bare pile and the leftmost
 loop, its growing view, its clip of negative firing counts, its int32 storage bound,
 its certificate, its fallback from 4*u(N//4) and that start's premise, the leftmost
-base from 2*u(N//2), the avalanche kernel, and the firing order of the worklist loop."""
+base from 2*u(N//2), the avalanche generator, and the firing order of the worklist loop."""
 
 import functools
 import itertools
@@ -380,21 +380,34 @@ def wavy(p):
 WAVY_CASES = st.integers(min_value=1, max_value=8).flatmap(lambda p: st.tuples(st.just(p), wavy(p)))
 
 
-class TestAvalancheKernel:
-    """`_engine.avalanche` and `_engine.firing_order` against the general leftmost loop."""
+def check_avalanches(b, p, grains):
+    """Add `grains` grains to the stable pile b through `_engine.avalanches`, each step
+    against `leftmost` on a fresh copy of the pile before it; whether a step took the
+    dense tail."""
+    before = reference.trim(list(b)) or [0]
+    k0 = sum(i * v for i, v in enumerate(before, 1))
+    tails = False
+    for j, (k, head, start, last, got) in enumerate(_engine.avalanches(b, p, grains, LIMIT), 1):
+        ref = list(before)
+        ref[0] += 1
+        fired: list[int] = []
+        total = _engine.leftmost(ref, p, LIMIT, fired)
+        assert k == k0 + j
+        assert got is b and b == ref
+        assert _engine.firing_order(b, p, head, last) == fired
+        assert start == lprime(fired)
+        assert len(head) + last - max(head, default=-1) == total
+        tails |= last > max(head, default=-1)
+        before = list(b)
+    assert j == grains
+    return tails
 
-    @staticmethod
-    def check(b, p):
-        """Whether the kernel took the dense-tail step, after checking it."""
-        ref = list(b)
-        fired_ref: list[int] = []
-        total = _engine.leftmost(ref, p, LIMIT, fired_ref)
-        head, start, last = _engine.avalanche(b, p)
-        assert _engine.firing_order(b, p, head, last) == fired_ref
-        assert start == lprime(fired_ref)
-        assert b == ref
-        assert len(head) + last - max(head) == total
-        return last > max(head)
+
+class TestAvalancheKernel:
+    """One grain through `_engine.avalanches`, and `_engine.firing_order`, against the
+    general leftmost loop."""
+
+    check = staticmethod(lambda b, p: check_avalanches(b, p, 1))
 
     @given(
         st.integers(min_value=1, max_value=6).flatmap(
@@ -404,23 +417,20 @@ class TestAvalancheKernel:
     def test_random_stable_pile_plus_a_grain(self, case):
         p, rest = case
         # column 0 holds p before the grain, so it is the one enabled column
-        self.check([p + 1] + rest, p)
+        self.check([p] + rest, p)
 
     @given(st.integers(min_value=1, max_value=6), st.data())
     def test_scan_piles_plus_a_grain(self, p, data):
-        piles = firing_scan_piles(p)
-        b = list(data.draw(st.sampled_from(piles)))
-        b[0] += 1
-        self.check(b, p)
+        self.check(list(data.draw(st.sampled_from(firing_scan_piles(p)))), p)
 
     @given(WAVY_CASES)
     def test_wavy_pile_plus_a_grain(self, case):
         p, rest = case
-        self.check([p + 1] + rest, p)
+        self.check([p] + rest, p)
 
     def test_wavy_piles_reach_the_dense_tail(self):
         # raises NoSuchExample if no drawn pile takes the dense-tail step
-        find(WAVY_CASES, lambda case: self.check([case[0] + 1] + case[1], case[0]))
+        find(WAVY_CASES, lambda case: self.check([case[0]] + case[1], case[0]))
 
     @pytest.mark.parametrize("p, n", [(64, 3000), (1000, 3000)])
     def test_steps_at_large_p(self, p, n):
@@ -437,21 +447,10 @@ class TestAvalancheKernel:
 
 
 class TestAvalancheMask:
-    """The kernel's byte mask of the cells at p, kept across calls as `steps` keeps it."""
+    """The generator's byte mask of the cells at p, built from the start pile and kept
+    across grains."""
 
-    @staticmethod
-    def check(b, p):
-        """Add 2p + 2 grains on column 0 of the stable pile b, one mask across the calls."""
-        mask = bytearray(v == p for v in b)  # written before the grains, as `steps` leaves it
-        for _ in range(2 * p + 2):
-            b[0] += 1
-            if b[0] <= p:
-                continue
-            ref = list(b)
-            assert _engine.avalanche(b, p, mask) == _engine.avalanche(ref, p)
-            assert b == ref
-            assert mask[: len(b)] == bytes(v == p for v in b)
-            assert not any(mask[len(b) :])
+    check = staticmethod(lambda b, p: check_avalanches(b, p, 2 * p + 2))
 
     @given(
         st.integers(min_value=1, max_value=6).flatmap(
@@ -475,7 +474,7 @@ class TestAvalancheMask:
     def test_dense_tail_at_large_p(self, p):
         # the head fires 0, p, p-1, ..., 1 (p + 1 firings), filling (0, p]; the run of p's
         # carries the tail to last = 3p
-        assert TestAvalancheKernel.check([p + 1] + [p] * (3 * p) + [1], p)
+        assert TestAvalancheKernel.check([p] * (3 * p + 1) + [1], p)
         self.check([p] * (3 * p + 1) + [1], p)
 
     @pytest.mark.parametrize("p", range(1, 7))
@@ -490,6 +489,17 @@ class TestAvalancheMask:
             assert _engine.firing_order(b, p, head, last) == fired
             assert len(head) + last - max(head, default=-1) == total
             assert lp == lprime(fired), k
+
+
+@pytest.mark.parametrize("p", range(1, 7))
+@pytest.mark.parametrize("k0", [0, 1, 37, 5000])
+def test_scan_from_a_fixed_point(p, k0):
+    """n grains added to pi(k0) step as rows k0 + 1 .. k0 + n of one scan from no grains."""
+    n = 400
+    scan = itertools.islice(steps(k0 + n, p), k0, None)
+    start = list(fixed_point(k0, Params(p)).diffs)
+    for step, row in zip(_engine.avalanches(start, p, n, LIMIT), scan, strict=True):
+        assert step == row, row[0]
 
 
 SMALL_PILES = st.integers(min_value=1, max_value=4).flatmap(
@@ -541,7 +551,7 @@ class TestWorklistOrder:
 
 
 class TestFiringOrder:
-    """`_engine.firing_order` on the arguments its callers pass besides a kernel step."""
+    """`_engine.firing_order` on the arguments its callers pass besides a generator step."""
 
     @pytest.mark.parametrize("b", [[], [1], [2, 1, 2]])
     def test_empty_avalanche(self, b):
