@@ -47,7 +47,6 @@ from .dds import (
     x_to_avg,
 )
 from .analysis import (
-    SupportReport,
     WaveReport,
     decompose_suffix,
     emergence_index,
@@ -55,7 +54,6 @@ from .analysis import (
     match_theorem2,
     matches_theorem1_at,
     max_plateau,
-    support_report,
     wave_report,
 )
 from . import errors
@@ -75,7 +73,6 @@ __all__ = [
     "ScanSummary",
     "ShotVector",
     "SpectrumReport",
-    "SupportReport",
     "WaveReport",
     "XVector",
     "add_grain",
@@ -99,7 +96,6 @@ __all__ = [
     "shot_vector",
     "spectrum",
     "stabilize",
-    "support_report",
     "trajectory_of",
     "wave_report",
     "x_step",

@@ -36,14 +36,13 @@ and the fixed-point width sits strictly between sqrt(N)/p - 1 and
 from __future__ import annotations
 
 import functools
-import json
 import math
 import re
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Sequence
 
-from .core import Configuration, DEFAULT_WORK_LIMIT, HeightProfile, Params, check_index, fixed_point
+from .core import Configuration, HeightProfile, check_index
 from .errors import InvalidParameter, NoMatch, NotStable
 
 
@@ -55,26 +54,6 @@ class WaveReport:
     theorem2_index: int
     decomposition: tuple[tuple[int, int], ...]  # (zero-run, wave count) pairs
     nontrivial: bool  # the loose match covers at least one wave
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), separators=(",", ":"))
-
-
-@dataclass(frozen=True)
-class SupportReport:
-    """Fixed-point width against its square-root bounds."""
-
-    grains: int
-    width: int
-    lower: float
-    upper: float
-
-    @property
-    def holds(self) -> bool:
-        return self.lower < self.width < self.upper
-
-    def to_json(self) -> str:
-        return json.dumps({**asdict(self), "holds": self.holds}, separators=(",", ":"))
 
 
 @functools.cache
@@ -176,13 +155,6 @@ def max_plateau(h: HeightProfile) -> int:
         else:
             run = 1
     return best
-
-
-def support_report(
-    grains: int, params: Params, work_limit: int = DEFAULT_WORK_LIMIT
-) -> SupportReport:
-    width = fixed_point(grains, params, work_limit).width()
-    return SupportReport(grains, width, *_support_limits(grains, params.p))
 
 
 def _support_limits(grains: int, p: int) -> tuple[float, float]:

@@ -34,7 +34,7 @@ from typing import Callable, IO, Iterator, Optional, Sequence
 
 from . import _engine
 from .core import Configuration, DEFAULT_WORK_LIMIT, Params, check_grains, check_limit
-from .errors import InvalidParameter, NotStable
+from .errors import NotStable
 
 
 @dataclass(frozen=True)
@@ -50,20 +50,6 @@ class Avalanche:
 
     def to_json(self) -> str:
         return json.dumps({"k": self.k, "fired": list(self.fired)}, separators=(",", ":"))
-
-    @classmethod
-    def from_json(cls, payload: str) -> "Avalanche":
-        try:
-            obj = json.loads(payload)
-            k, fired = obj["k"], tuple(obj["fired"])
-        except (ValueError, KeyError, TypeError) as exc:
-            raise InvalidParameter(f'expected a JSON object with "k" and "fired": {exc}') from exc
-        # not core._naturals: that trims trailing zeros, and column 0 may fire last
-        if type(k) is not int or k < 1 or not all(type(v) is int and v >= 0 for v in fired):
-            raise InvalidParameter("k must be an int >= 1 and fired a list of non-negative ints")
-        if len(set(fired)) != len(fired):
-            raise InvalidParameter("an avalanche fires each column at most once")
-        return cls(k, fired)
 
 
 @dataclass(frozen=True)
@@ -81,20 +67,19 @@ def add_grain(c: Configuration) -> Configuration:
 
 
 def run_avalanche(
-    c: Configuration, k: int, work_limit: int = DEFAULT_WORK_LIMIT
+    c: Configuration, *, work_limit: int = DEFAULT_WORK_LIMIT
 ) -> tuple[Avalanche, Configuration]:
     """Add a grain to the stable pile `c` and relax leftmost.
 
-    When c = pi(k-1) the result is (k-th avalanche, pi(k)).
+    The record's k is the new pile's grain count, so when c = pi(k-1) the
+    result is (k-th avalanche, pi(k)).
     """
-    if type(k) is not int or k < 1:
-        raise InvalidParameter(f"k must be an int >= 1, got {k!r}")
     if not c.is_stable():
         raise NotStable("avalanches start from a stable configuration")
     check_limit(work_limit)
     p = c.params.p
     check_grains(c.grain_count() + 1, p=p)
-    _, head, _, last, b = next(_engine.avalanches(list(c.diffs), p, 1, work_limit))
+    k, head, _, last, b = next(_engine.avalanches(list(c.diffs), p, 1, work_limit))
     fired = _engine.firing_order(b, p, head, last)
     return Avalanche(k, tuple(fired)), Configuration._trusted(tuple(b), c.params)
 

@@ -5,7 +5,8 @@ own: `fixpoint` prints a pile's fixed point, `avalanche` single records
 or streamed scans, `verify` the invariant sweeps, and `figure-data` the
 plot-ready CSV datasets (diffs by one averaging step per row).  A
 handler returns (exit code, *blocks of lines); `main` writes every
-command's output, through `_open_out`, in writes of at most 4,096 lines.
+command's output, through `_open_out`, in writes of about 64 KiB, each
+sized in lines from the one before.
 Output is deterministic for identical invocations (seeds included);
 `--out` replaces a regular file through a temp file and a rename, so
 failures never leave partial files behind; a file with more than one hard
@@ -190,7 +191,7 @@ def cmd_avalanche(args: argparse.Namespace, limit: int) -> tuple:
     if args.k < 1:
         raise InvalidParameter(f"--k must be >= 1, got {args.k}")
     previous, shots = dds.pile(args.k - 1, params, limit)
-    record, result = avalanche.run_avalanche(previous, args.k, limit)
+    record, result = avalanche.run_avalanche(previous, work_limit=limit)
     if sum(shots.counts) + len(record.fired) > limit:  # one budget for pi(k - 1) and the avalanche
         raise WorkLimitExceeded(f"firing budget {limit} exceeded")
     fired = record.fired
@@ -257,10 +258,13 @@ def main(argv: list[str] | None = None) -> int:
     try:
         code, *blocks = args.run(args, _work_limit())
         with _open_out(args.out) as out:
+            n = 1  # lines in the next write, sized from the last one to about 64 KiB
             for block in blocks:
                 lines = iter(block)
-                while chunk := list(itertools.islice(lines, 4096)):  # lines per write
-                    out.write("\n".join(chunk) + "\n")
+                while chunk := list(itertools.islice(lines, n)):
+                    text = "\n".join(chunk) + "\n"
+                    out.write(text)
+                    n = len(chunk) * 65536 // len(text) + 1
         return code
     except InvalidParameter as exc:
         print(f"kspm: {exc}", file=sys.stderr)

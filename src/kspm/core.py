@@ -23,7 +23,6 @@ module (e.g. independent (p, N) sweeps).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -120,11 +119,6 @@ class HeightProfile:
             if h > prev:
                 raise NotMonotone(f"heights increase: {prev} -> {h}")
 
-    def to_configuration(self, params: Params) -> "Configuration":
-        hs = self.heights
-        diffs = [hs[i] - (hs[i + 1] if i + 1 < len(hs) else 0) for i in range(len(hs))]
-        return Configuration(tuple(diffs), params)
-
 
 @dataclass(frozen=True)
 class Configuration:
@@ -172,6 +166,9 @@ class Configuration:
             hs.append(acc)
         return HeightProfile(tuple(reversed(hs)))
 
+    def to_text(self) -> str:
+        return " ".join(str(v) for v in self.diffs)
+
     # -- dynamics ----------------------------------------------------
 
     def fire(self, i: int) -> "Configuration":
@@ -188,33 +185,6 @@ class Configuration:
             b[i - 1] += p
         b[i + p] += 1
         return Configuration(tuple(b), self.params)
-
-    # -- serialization -----------------------------------------------
-
-    def to_json(self) -> str:
-        return json.dumps({"p": self.params.p, "diffs": list(self.diffs)}, separators=(",", ":"))
-
-    @classmethod
-    def from_json(cls, payload: str) -> "Configuration":
-        try:
-            obj = json.loads(payload)
-            diffs, p = tuple(obj["diffs"]), obj["p"]
-        except (ValueError, KeyError, TypeError) as exc:
-            raise InvalidParameter(
-                f'expected a JSON object with "p" and a "diffs" list: {exc}'
-            ) from exc
-        return cls(diffs, Params(p))
-
-    def to_text(self) -> str:
-        return " ".join(str(v) for v in self.diffs)
-
-    @classmethod
-    def from_text(cls, text: str, params: Params) -> "Configuration":
-        try:
-            diffs = tuple(int(v) for v in text.split())
-        except ValueError as exc:
-            raise InvalidParameter(f"height differences must be integers: {text!r}") from exc
-        return cls(diffs, params)
 
 
 def stabilize(

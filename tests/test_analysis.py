@@ -11,7 +11,6 @@ from kspm import (
     analysis,
     HeightProfile,
     Params,
-    SupportReport,
     decompose_suffix,
     emergence_index,
     fixed_point,
@@ -19,7 +18,6 @@ from kspm import (
     match_theorem2,
     matches_theorem1_at,
     max_plateau,
-    support_report,
     wave_report,
 )
 from kspm.avalanche import steps
@@ -188,10 +186,6 @@ class TestWaveReport:
         assert report.decomposition == ()
         assert not report.nontrivial
 
-    def test_json(self):
-        report = wave_report(cfg([2, 1, 0, 2, 1], 2))
-        assert '"theorem2_index":0' in report.to_json()
-
     @pytest.mark.parametrize(
         "p, indices",
         [
@@ -272,35 +266,11 @@ class TestMaxPlateau:
             max_plateau_over_trajectory(n, p, total - 1)
 
 
-class TestSupportReport:
-    def test_n24(self):
-        report = support_report(24, Params(2))
-        assert report.width == 5
-        assert math.isclose(report.lower, math.sqrt(24) / 2 - 1)
-        assert math.isclose(report.upper, 3 * math.sqrt(24) + 3)
-        assert report.holds
-
-    def test_pile2000_width(self):
-        report = support_report(2000, Params(4))
-        assert report.width == 41
-        assert report.holds
-
-    def test_single_grain(self):
-        report = support_report(1, Params(3))
-        assert report.width == 1
-        assert report.holds
-
-    def test_json(self):
-        assert '"width":5' in support_report(24, Params(2)).to_json()
-
+class TestSupportLimits:
     @pytest.mark.parametrize("p", range(1, 7))
-    def test_support_predicate_against_report(self, p):
-        """`check_support`'s lower < w < upper against `SupportReport`, at the
-        floor and ceiling of each bound, and the bounds against their formulas."""
+    def test_formulas(self, p):
+        """`_support_limits`, which `check_support` reads, against its two formulas."""
         for k in range(1, 3001):
-            lower, upper = analysis._support_limits(k, p)
             root = math.sqrt(k)
-            assert (lower, upper) == (root / p - 1.0, (p + 1) * root + p + 1.0)
-            for w in {math.floor(lower), math.ceil(lower), math.floor(upper), math.ceil(upper)}:
-                assert (lower < w < upper) == SupportReport(k, w, lower, upper).holds
+            assert analysis._support_limits(k, p) == (root / p - 1.0, (p + 1) * root + p + 1.0)
 

@@ -153,7 +153,7 @@ class TestScanOutput:
         from kspm import Params, fixed_point, run_avalanche
 
         for k in (1, 2, 3, 25, 300):
-            record, result = run_avalanche(fixed_point(k - 1, Params(p)), k)
+            record, result = run_avalanche(fixed_point(k - 1, Params(p)))
             fired = list(record.fired)
             # L': one past the largest hole (unfired column with a fired right neighbor)
             lp = max((i + 1 for i in range(-1, len(result.diffs))
@@ -377,7 +377,8 @@ class TestFigureData:
 
     def test_diffs_rows_are_streamed(self, tmp_path):
         """At p = 500, N = 1 the rows come one state at a time, not from all 502 states of
-        500 entries at once: traced peaks 1.56 MB streamed, 2.66 MB held (Python 3.11)."""
+        500 entries at once: traced peaks 1.56 MB streamed, 2.66 MB held (Python 3.11,
+        writes of 4,096 rows)."""
         _parser()  # built once per process, outside the traced run
         tracemalloc.start()
         try:
@@ -388,6 +389,22 @@ class TestFigureData:
             tracemalloc.stop()
         assert code == 0
         assert peak < 2_040_000
+
+    def test_writes_are_bounded_in_bytes(self, tmp_path):
+        """At p = 1000, N = 1 the 1,002 rows of about 2 kB each (2.0 MB in all) go out
+        in writes of about 64 KiB: traced peak 0.31 MB, against 6.1 MB for writes of
+        4,096 rows (Python 3.11)."""
+        _parser()
+        tracemalloc.start()
+        try:
+            code = main(["figure-data", "--p", "1000", "--n", "1", "--which", "diffs",
+                         "--out", str(tmp_path / "diffs.csv")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert (tmp_path / "diffs.csv").stat().st_size > 2_000_000
+        assert peak < 1_000_000
 
 
 class TestStrictFlags:

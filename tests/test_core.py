@@ -290,21 +290,13 @@ class TestHeights:
 
     def test_empty(self):
         assert cfg([], 1).heights().heights == ()
-        assert HeightProfile(()).to_configuration(Params(1)).diffs == ()
 
     def test_single_column(self):
         assert cfg([7], 2).heights().heights == (7,)
-        assert HeightProfile((7,)).to_configuration(Params(2)).diffs == (7,)
 
     def test_not_monotone(self):
         with pytest.raises(NotMonotone):
             HeightProfile((1, 3))
-
-    @given(small_config)
-    def test_round_trip(self, pc):
-        p, diffs = pc
-        c = cfg(diffs, p)
-        assert c.heights().to_configuration(c.params) == c
 
     @given(small_config)
     def test_against_reference(self, pc):
@@ -325,27 +317,11 @@ class TestGrainCount:
 
 
 class TestSerialization:
-    def test_json_round_trip(self):
-        c = cfg([2, 0, 2, 1, 0, 1, 1], 2)
-        assert Configuration.from_json(c.to_json()) == c
-        assert c.to_json() == '{"p":2,"diffs":[2,0,2,1,0,1,1]}'
-
-    def test_text_round_trip(self):
-        c = cfg([2, 1, 2, 1, 2], 2)
-        assert c.to_text() == "2 1 2 1 2"
-        assert Configuration.from_text(c.to_text(), c.params) == c
+    def test_text(self):
+        assert cfg([2, 1, 2, 1, 2], 2).to_text() == "2 1 2 1 2"
 
     def test_empty_text(self):
-        c = cfg([], 4)
-        assert c.to_text() == ""
-        assert Configuration.from_text("", Params(4)) == c
-
-    @given(small_config)
-    def test_round_trips_bit_exact(self, pc):
-        p, diffs = pc
-        c = cfg(diffs, p)
-        assert Configuration.from_json(c.to_json()).to_json() == c.to_json()
-        assert Configuration.from_text(c.to_text(), c.params).to_text() == c.to_text()
+        assert cfg([], 4).to_text() == ""
 
 
 class TestNormalization:
@@ -364,22 +340,6 @@ class TestNormalization:
         with pytest.raises(InvalidParameter):
             HeightProfile((3.5, 1))
 
-    @pytest.mark.parametrize("value", ['"7"', "3.5", "true"])
-    def test_json_diffs_must_be_ints(self, value):
-        with pytest.raises(InvalidParameter):
-            Configuration.from_json('{"p":2,"diffs":[%s]}' % value)
-
-    @pytest.mark.parametrize(
-        "payload", ['{"p":2}', '{"p":2,"diffs":5}', "[1,2]", "not json", '"x"']
-    )
-    def test_malformed_json_rejected(self, payload):
-        with pytest.raises(InvalidParameter):
-            Configuration.from_json(payload)
-
-    def test_text_must_be_ints(self):
-        with pytest.raises(InvalidParameter):
-            Configuration.from_text("1.5 2", Params(2))
-
     @pytest.mark.parametrize(
         "call",
         [
@@ -394,16 +354,12 @@ class TestNormalization:
             lambda: verify.check_confluence(2, 5.5),
             lambda: verify.check_recurrence(2, 5.5),
             lambda: verify.check_spectrum(3.0),
-            lambda: run_avalanche(Configuration((), Params(2)), 0),
-            lambda: run_avalanche(Configuration((), Params(2)), 1.0),
-            lambda: run_avalanche(Configuration((), Params(2)), True),
         ],
         ids=[
             "pile-float", "fixed_point-bool", "fixed_point-float", "steps-float",
             "incremental_scan-str", "check_support-bool", "check_density-float",
             "check_plateau-float", "check_confluence-float", "check_recurrence-float",
-            "check_spectrum-float", "run_avalanche-k0", "run_avalanche-float",
-            "run_avalanche-bool",
+            "check_spectrum-float",
         ],
     )
     def test_grain_counts_must_be_ints(self, call):
@@ -421,7 +377,6 @@ class TestNormalization:
         while trimmed and trimmed[-1] == 0:
             trimmed.pop()
         assert list(c.diffs) == trimmed
-        assert Configuration.from_json(c.to_json()) == c
         at = data.draw(st.integers(min_value=0, max_value=len(diffs)))
         with pytest.raises(InvalidParameter):
             Configuration(diffs[:at] + [bad] + diffs[at:], Params(2))
@@ -432,7 +387,7 @@ LIMITED_ENTRIES = {
     "fixed_point": lambda w: fixed_point(24, Params(2), w),
     "pile": lambda w: pile(24, Params(2), w),
     "steps": lambda w: list(steps(30, 2, w)),
-    "run_avalanche": lambda w: run_avalanche(fixed_point(5, Params(2)), 6, w),
+    "run_avalanche": lambda w: run_avalanche(fixed_point(5, Params(2)), work_limit=w),
     "incremental_scan": lambda w: incremental_scan(30, Params(2), work_limit=w),
     "check_confluence": lambda w: verify.check_confluence(2, 5, 1, 0, w),
     "check_plateau": lambda w: verify.check_plateau(2, 5, w),
