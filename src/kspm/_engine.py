@@ -233,15 +233,15 @@ def leftmost(b: list[int], p: int, limit: int, fired: list[int] | None = None) -
 
 
 def avalanches(
-    b: list[int], p: int, grains: int, limit: int
+    b: list[int], p: int, grains: int, limit: int, spent: int = 0
 ) -> Iterator[tuple[int, list[int], int, int, list[int]]]:
     """Add `grains` grains one at a time on column 0 of the stable pile b, each followed
     by its leftmost avalanche, and yield (k, head, lp, last, b) after each: k the grains
     now in b, head the columns fired singly, in order, lp the first column of the run of
     fired columns that ends at max(head), which is L'(p, k) (module docstring), and
     (max(head), last] the dense tail; an empty avalanche is ([], 0, -1).  b is mutated
-    in place and trimmed at every yield.  The firing budget `limit` covers all the
-    grains and is charged after each avalanche."""
+    in place and trimmed at every yield.  The firing budget `limit`, of which `spent`
+    is already used, covers all the grains and is charged after each avalanche."""
     pp1 = p + 1
     pm1 = p - 1
     zeros = bytes(p)
@@ -251,7 +251,7 @@ def avalanches(
     k0 = sum(i * v for i, v in enumerate(b, 1))
     m = len(b)
     mask = bytearray(map(p.__eq__, b)) + zeros  # mask[x] == (b[x] == p), 0 past the end of b
-    budget = limit
+    budget = limit - spent
     for k in range(k0 + 1, k0 + grains + 1):
         b[0] += 1
         if b[0] <= p:

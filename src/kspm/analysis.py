@@ -88,6 +88,8 @@ def _decompose(b: Sequence[int], p: int, n: int) -> tuple[tuple[int, int], ...]:
         while j < m and b[j] == 0:
             j += 1
         waves = j
+        if waves - zeros > p + 1:
+            raise NoMatch(f"{waves - zeros} zeros at column {zeros}, more than p + 1")
         while b[j : j + p] == wave:
             j += p
         if j == waves:

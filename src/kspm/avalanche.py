@@ -11,13 +11,13 @@ The density column L'(p,k) is where the avalanche stops skipping: from
 L'(p,k) up to its largest column everything fires.  L(p,N) aggregates the
 maximum of L'(p,k) over k <= N.
 
-`steps` checks its arguments and runs the `_engine.avalanches` generator,
-the one grain-by-grain loop: it fires each dense tail (max(head), last] in
-one step, finding its end with one search of a byte mask of the cells at p
-kept beside the pile, and yields L' as the start of the last fired block.
-`ROWS[format](p)` is that format's one row formatter of a step (k, head,
-lp, last, b); a full firing list is a head with an empty tail
-(last = max(fired)) and its L', the int `density_column` returns.
+`steps` checks its arguments, builds the start pile pi(start) with
+`_engine.pile_with_shots`, and runs the `_engine.avalanches` generator from
+it, the one grain-by-grain loop, on what is left of the same firing budget:
+it fires each dense tail (max(head), last] in one step, finding its end
+with one search of a byte mask of the cells at p kept beside the pile, and
+yields L' as the start of the last fired block.  `ROWS[format](p)` is that
+format's one row formatter of a step (k, head, lp, last, b).
 `incremental_scan` sums the firings and L(p, N), streams one record per
 grain to an optional sink, and keeps only the current pile in memory, so
 scans up to millions of grains need memory proportional to the support
@@ -97,22 +97,26 @@ def density_column(a: Avalanche) -> int:
 
 
 def steps(
-    grains: int, p: int, work_limit: int = DEFAULT_WORK_LIMIT
+    grains: int, p: int, work_limit: int = DEFAULT_WORK_LIMIT, start: int = 0
 ) -> Iterator[tuple[int, list[int], int, int, list[int]]]:
-    """Yield (k, head, lp, last, b) for k = 1 .. grains: the k-th avalanche and pi(k).
+    """Yield (k, head, lp, last, b) for k = start + 1 .. start + grains: the k-th
+    avalanche and pi(k), each grain added to the pile before it from pi(start).
 
     `head` lists the columns fired one at a time while absorbing grain k, in
     order; each column of (max(head), last] fired once after them, and
     lp = L'(p, k) (an empty avalanche is ([], 0, -1)).  `b` is the live
     pile, which the next step mutates: copy it, or read the whole firing
     order off it with `_engine.firing_order`, before resuming.  The
-    arguments are checked at the first step.  The firing budget covers the
-    whole scan and is charged after each avalanche.
+    arguments are checked at the first step, before any firing.  One budget
+    covers the Σu(start) firings of pi(start), then each avalanche's.
     """
     Params(p)
-    check_grains(grains, 1, p)
+    check_grains(start, 0, p)
+    check_grains(grains, 1)
+    check_grains(start + grains, p=p)
     check_limit(work_limit)
-    yield from _engine.avalanches([0], p, grains, work_limit)
+    b, _, spent = _engine.pile_with_shots(start, p, work_limit)
+    yield from _engine.avalanches(b, p, grains, work_limit, spent)
 
 
 def incremental_scan(

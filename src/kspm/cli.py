@@ -36,7 +36,7 @@ from typing import IO, Iterator
 
 from . import avalanche, dds, verify
 from .core import DEFAULT_WORK_LIMIT, Params, check_grains, check_limit
-from .errors import InvalidParameter, KSPMError, WorkLimitExceeded
+from .errors import InvalidParameter, KSPMError
 
 FORMATS = ("text", "json", "csv")
 WHICH = ("heights", "shot", "diffs")
@@ -180,25 +180,19 @@ def cmd_fixpoint(args: argparse.Namespace, limit: int) -> tuple:
 
 
 def cmd_avalanche(args: argparse.Namespace, limit: int) -> tuple:
-    params = Params(args.p)
+    Params(args.p)
     row = avalanche.ROWS[args.format](args.p)
     header = [avalanche.CSV_HEADER] if args.format == "csv" else []
     if args.k is None:
         if args.upto < 1:
             raise InvalidParameter(f"--upto must be >= 1, got {args.upto}")
-        scan = avalanche.steps(args.upto, args.p, limit)
-        return 0, header, itertools.starmap(row, scan)
+        return 0, header, itertools.starmap(row, avalanche.steps(args.upto, args.p, limit))
     if args.k < 1:
         raise InvalidParameter(f"--k must be >= 1, got {args.k}")
-    previous, shots = dds.pile(args.k - 1, params, limit)
-    record, result = avalanche.run_avalanche(previous, work_limit=limit)
-    if sum(shots.counts) + len(record.fired) > limit:  # one budget for pi(k - 1) and the avalanche
-        raise WorkLimitExceeded(f"firing budget {limit} exceeded")
-    fired = record.fired
+    step = next(avalanche.steps(1, args.p, limit, args.k - 1))
     if args.format == "text":  # a single record prints its columns only, and nothing when empty
-        return 0, [" ".join(map(str, fired))] if fired else []
-    lp = avalanche.density_column(record)
-    return 0, header, [row(args.k, fired, lp, max(fired, default=-1), result.diffs)]
+        return 0, [row(*step).partition(": ")[2]] if step[1] else []
+    return 0, header, [row(*step)]
 
 
 def cmd_verify(args: argparse.Namespace, limit: int) -> tuple:

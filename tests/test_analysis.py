@@ -22,7 +22,7 @@ from kspm import (
 )
 from kspm.avalanche import steps
 from kspm._engine import DEFAULT_WORK_LIMIT, max_plateau_over_trajectory, pile_with_shots
-from kspm.errors import IndexOutOfRange, InvalidParameter, NotStable, WorkLimitExceeded
+from kspm.errors import IndexOutOfRange, InvalidParameter, NoMatch, NotStable, WorkLimitExceeded
 from kspm.verify import rebuild_suffix
 
 import reference
@@ -36,6 +36,21 @@ stable_config = st.integers(min_value=1, max_value=4).flatmap(
     lambda p: st.tuples(
         st.just(p),
         st.lists(st.integers(min_value=0, max_value=p), max_size=24),
+    )
+)
+
+# zero runs up to p + 3 long, waves and single differences, in any order
+wave_blocks = st.integers(min_value=1, max_value=4).flatmap(
+    lambda p: st.tuples(
+        st.just(p),
+        st.lists(
+            st.one_of(
+                st.integers(0, p + 3).map(lambda z: [0] * z),
+                st.just(list(range(p, 0, -1))),
+                st.integers(0, p).map(lambda v: [v]),
+            ),
+            max_size=8,
+        ).map(lambda blocks: sum(blocks, [])),
     )
 )
 
@@ -116,6 +131,27 @@ class TestMatchers:
             assert matches_theorem1_at(c, n) == reference.suffix_matches_loose(
                 list(c.diffs[n:]), p
             )
+
+    def test_decompose_rejects_a_zero_run_past_p_plus_1(self):
+        c = cfg([2, 1, 0, 0, 0, 0, 2, 1], 2)
+        assert not matches_theorem1_at(c, 0)
+        with pytest.raises(NoMatch):
+            decompose_suffix(c, 0)
+        assert decompose_suffix(c, 3) == ((3, 1),)  # p + 1 zeros still parse
+
+    @given(wave_blocks)
+    @settings(max_examples=300)
+    def test_decompose_succeeds_iff_loose_match(self, pc):
+        p, diffs = pc
+        c = cfg(diffs, p)
+        for n in range(c.width() + 2):
+            try:
+                decompose_suffix(c, n)
+            except NoMatch:
+                parsed = False
+            else:
+                parsed = True
+            assert parsed == matches_theorem1_at(c, n), n
 
     @pytest.mark.parametrize("n", range(-6, 0))
     def test_negative_suffix_index_rejected(self, n):

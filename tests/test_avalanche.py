@@ -19,6 +19,7 @@ from kspm import (
     run_avalanche,
     shot_vector,
 )
+from kspm import _engine
 from kspm.avalanche import steps
 from kspm.errors import InvalidParameter, NotStable, WorkLimitExceeded
 
@@ -172,6 +173,27 @@ def test_steps_rejects_p_at_first_next(p):
     scan = steps(4, p)
     with pytest.raises(InvalidParameter, match="p must be a positive integer"):
         next(scan)
+
+
+@pytest.mark.parametrize(
+    "grains, start", [(1, -1), (1, True), (1, 2.0), (0, 5), (1, 2**40), (2**40, 1)]
+)
+def test_steps_checks_grains_before_any_firing(monkeypatch, grains, start):
+    """start an int >= 0, grains an int >= 1, and start + grains <= 2**40, before pi(start)."""
+    monkeypatch.setattr(_engine, "pile_with_shots", None)  # building pi(start) would raise TypeError
+    with pytest.raises(InvalidParameter, match="grain count"):
+        next(steps(grains, 2, start=start))
+
+
+@pytest.mark.parametrize("p, k0", [(2, 5000), (3, 37)])
+def test_steps_budget_covers_the_start_pile(p, k0):
+    """pi(k0) and the n avalanches after it fire Σu(k0 + n) in all, charged to one budget."""
+    n = 300
+    total = sum(shot_vector(k0 + n, Params(p)).counts)
+    assert [row[0] for row in steps(n, p, total, k0)] == list(range(k0 + 1, k0 + n + 1))
+    with pytest.raises(WorkLimitExceeded, match=f"^firing budget {total - 1} exceeded$"):
+        for _ in steps(n, p, total - 1, k0):
+            pass
 
 
 class TestIncrementalScan:

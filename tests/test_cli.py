@@ -108,6 +108,16 @@ class TestAvalanche:
         records = [json.loads(line) for line in out.splitlines()]
         assert [r["k"] for r in records] == [1, 2, 3, 4, 5]
 
+    @pytest.mark.parametrize("flag", ["--k", "--upto"])
+    def test_grains_past_the_limit_exit_2_before_relaxing(self, capsys, monkeypatch, flag):
+        """--k 2**40 + 1 is checked before pi(2**40) is built, as --upto is before its scan."""
+        from kspm import _engine
+
+        monkeypatch.setattr(_engine, "pile_with_shots", None)  # a relaxation would raise TypeError
+        argv = ("avalanche", "--p", "2", flag, str(2**40 + 1))
+        err = "kspm: grain count 1099511627777 exceeds limit 2**40\n"
+        assert run(capsys, *argv) == (2, "", err)
+
     def test_k_and_upto_exclusive(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["avalanche", "--p", "2", "--k", "3", "--upto", "5"])
@@ -148,11 +158,12 @@ class TestScanOutput:
             assert run(capsys, *argv, "--out", str(target)) == (0, "", "")
             assert target.read_bytes().decode() == text
 
-    @pytest.mark.parametrize("p", [1, 2, 3])
+    @pytest.mark.parametrize("p", [1, 2, 3, 5])
     def test_single_k_formats(self, capsys, p):
         from kspm import Params, fixed_point, run_avalanche
 
-        for k in (1, 2, 3, 25, 300):
+        # from 4097 on, pi(k - 1) is relaxed in batch (from 1025 at p = 1)
+        for k in (1, 2, 3, 25, 300, 4097, 9000):
             record, result = run_avalanche(fixed_point(k - 1, Params(p)))
             fired = list(record.fired)
             # L': one past the largest hole (unfired column with a fired right neighbor)

@@ -494,12 +494,14 @@ class TestAvalancheMask:
 @pytest.mark.parametrize("p", range(1, 7))
 @pytest.mark.parametrize("k0", [0, 1, 37, 5000])
 def test_scan_from_a_fixed_point(p, k0):
-    """n grains added to pi(k0) step as rows k0 + 1 .. k0 + n of one scan from no grains."""
+    """n grains added to pi(k0), by the engine and through `steps`' start, step as rows
+    k0 + 1 .. k0 + n of one scan from no grains."""
     n = 400
     scan = itertools.islice(steps(k0 + n, p), k0, None)
     start = list(fixed_point(k0, Params(p)).diffs)
-    for step, row in zip(_engine.avalanches(start, p, n, LIMIT), scan, strict=True):
-        assert step == row, row[0]
+    engine = _engine.avalanches(start, p, n, LIMIT)
+    for step, started, row in zip(engine, steps(n, p, start=k0), scan, strict=True):
+        assert step == started == row, row[0]
 
 
 SMALL_PILES = st.integers(min_value=1, max_value=4).flatmap(
@@ -559,7 +561,7 @@ class TestFiringOrder:
 
     @pytest.mark.parametrize("p", range(1, 5))
     def test_full_list_with_last_at_its_max(self, p):
-        # how `kspm avalanche --k` calls ROWS: the whole order as head, an empty tail
+        # the whole order as head, with an empty tail, is still a valid step to format
         seen = 0
         for _, head, _, last, b in steps(600, p):
             fired = _engine.firing_order(b, p, head, last)
