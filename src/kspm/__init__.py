@@ -20,16 +20,8 @@ from .core import (
     fixed_point,
     stabilize,
 )
-from .avalanche import (
-    Avalanche,
-    ScanCsvWriter,
-    ScanSummary,
-    add_grain,
-    density_column,
-    holes,
-    incremental_scan,
-    run_avalanche,
-)
+from .avalanche import Avalanche, ScanCsvWriter, ScanSummary, incremental_scan, steps
+from ._engine import firing_order
 from .dds import (
     AvgVector,
     ShotVector,
@@ -75,16 +67,14 @@ __all__ = [
     "SpectrumReport",
     "WaveReport",
     "XVector",
-    "add_grain",
     "avg_step",
     "avg_trajectory",
     "decompose_suffix",
-    "density_column",
     "emergence_index",
     "errors",
+    "firing_order",
     "first_constant_index",
     "fixed_point",
-    "holes",
     "incremental_scan",
     "match_theorem1",
     "match_theorem2",
@@ -92,10 +82,10 @@ __all__ = [
     "max_plateau",
     "pile",
     "reconstruct_b",
-    "run_avalanche",
     "shot_vector",
     "spectrum",
     "stabilize",
+    "steps",
     "trajectory_of",
     "wave_report",
     "x_step",

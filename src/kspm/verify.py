@@ -15,16 +15,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from . import _engine, analysis, avalanche, dds
-from .core import (
-    Configuration,
-    DEFAULT_WORK_LIMIT,
-    Params,
-    RIGHTMOST,
-    check_grains,
-    check_limit,
-    fixed_point,
-    stabilize,
-)
+from .core import DEFAULT_WORK_LIMIT, Params, check_grains, check_limit, fixed_point
 from .errors import InvalidParameter
 
 
@@ -226,17 +217,17 @@ def check_recurrence(p: int, n_max: int, work_limit: int = DEFAULT_WORK_LIMIT) -
     """Grain-by-grain pile equals the from-scratch fixed point for every k."""
     name = f"recurrence p={p}"
     params = Params(p)
-    check_grains(n_max, 1)
-    current = Configuration((), params)
+    check_grains(n_max, 1, p)
+    check_limit(work_limit)
+    b = [0]  # never empty again: worklist trims only zeros past the grains
     for k in range(1, n_max + 1):
+        b[0] += 1
         # rightmost on purpose: a different strategy than the scan engine
-        stepped, _ = stabilize(avalanche.add_grain(current), RIGHTMOST, work_limit)
+        _engine.worklist(b, p, work_limit)
         scratch = fixed_point(k, params, work_limit)
-        if stepped != scratch:
+        if tuple(b) != scratch.diffs:
             return CheckResult(
                 name, False, f"incremental and from-scratch piles differ at k={k}",
-                {"p": p, "k": k, "incremental": list(stepped.diffs),
-                 "scratch": list(scratch.diffs)},
+                {"p": p, "k": k, "incremental": b, "scratch": list(scratch.diffs)},
             )
-        current = stepped
     return CheckResult(name, True, f"k<=n_max={n_max}: incremental piles match from-scratch")

@@ -125,22 +125,38 @@ class TestAvalanche:
 
 
 
-def library_scan(n, p):
-    """`avalanche --upto n` output per format, from incremental_scan and its sinks."""
-    import io
+CSV_HEADER = "k,fired_count,max_fired,l_prime,support_width\n"
 
-    from kspm import Params, ScanCsvWriter, incremental_scan
 
-    bufs = {fmt: io.StringIO() for fmt in ("csv", "json", "text")}
-    csv_sink = ScanCsvWriter(bufs["csv"])
+def leftmost_rows(n, p):
+    """Yield (k, firing order, {format: row}) of the k-th avalanche for k = 1 .. n,
+    without the scan generator: each grain goes onto column 0 of the pile before it
+    and `_engine.leftmost` fires it, L' is one past the largest hole of the firing
+    order (`reference.brute_holes`), and each format's row is written by hand."""
+    import reference
+    from kspm import _engine
 
-    def sink(k, a, c):
-        csv_sink(k, a, c)
-        bufs["json"].write(a.to_json() + "\n")
-        bufs["text"].write(f"{k}: {' '.join(map(str, a.fired))}\n")
+    b = [0]
+    for k in range(1, n + 1):
+        b[0] += 1
+        fired = []
+        _engine.leftmost(b, p, 10**10, fired)
+        holes = reference.brute_holes(fired)
+        lp = holes[-1] + 1 if holes else 0
+        yield k, fired, {
+            "csv": f"{k},{len(fired)},{max(fired, default='')},{lp},{len(b)}\n",
+            "json": json.dumps({"k": k, "fired": fired}, separators=(",", ":")) + "\n",
+            "text": f"{k}: {' '.join(map(str, fired))}\n",
+        }
 
-    incremental_scan(n, Params(p), sink)
-    return {fmt: buf.getvalue() for fmt, buf in bufs.items()}
+
+def leftmost_scan(n, p):
+    """`avalanche --upto n` output per format, from `leftmost_rows`."""
+    out = {"csv": [CSV_HEADER], "json": [], "text": []}
+    for *_, rows in leftmost_rows(n, p):
+        for fmt, row in rows.items():
+            out[fmt].append(row)
+    return {fmt: "".join(lines) for fmt, lines in out.items()}
 
 
 class TestScanOutput:
@@ -150,7 +166,8 @@ class TestScanOutput:
         "p, n", [(p, n) for p in (1, 2, 3) for n in sorted({1, p, 4095, 4096, 4097, 9000})]
     )
     def test_matches_library_scan(self, capsys, tmp_path, p, n):
-        expected = library_scan(n, p)
+        """Every format of `avalanche --upto n`, to stdout and to --out, is the leftmost scan."""
+        expected = leftmost_scan(n, p)
         for fmt, text in expected.items():
             argv = ("avalanche", "--p", str(p), "--upto", str(n), "--format", fmt)
             assert run(capsys, *argv) == (0, text, "")
@@ -160,21 +177,15 @@ class TestScanOutput:
 
     @pytest.mark.parametrize("p", [1, 2, 3, 5])
     def test_single_k_formats(self, capsys, p):
-        from kspm import Params, fixed_point, run_avalanche
-
         # from 4097 on, pi(k - 1) is relaxed in batch (from 1025 at p = 1)
-        for k in (1, 2, 3, 25, 300, 4097, 9000):
-            record, result = run_avalanche(fixed_point(k - 1, Params(p)))
-            fired = list(record.fired)
-            # L': one past the largest hole (unfired column with a fired right neighbor)
-            lp = max((i + 1 for i in range(-1, len(result.diffs))
-                      if i not in fired and i + 1 in fired), default=0)
-            mf = max(fired) if fired else ""
+        ks = (1, 2, 3, 25, 300, 4097, 9000)
+        for k, fired, rows in leftmost_rows(max(ks), p):
+            if k not in ks:
+                continue
             expected = {
                 "text": " ".join(map(str, fired)) + "\n" if fired else "",
-                "json": json.dumps({"k": k, "fired": fired}, separators=(",", ":")) + "\n",
-                "csv": "k,fired_count,max_fired,l_prime,support_width\n"
-                f"{k},{len(fired)},{mf},{lp},{result.width()}\n",
+                "json": rows["json"],
+                "csv": CSV_HEADER + rows["csv"],
             }
             for fmt, text in expected.items():
                 argv = ("avalanche", "--p", str(p), "--k", str(k), "--format", fmt)
@@ -196,19 +207,19 @@ class TestScanOutput:
         records = [json.loads(line) for line in json_out.splitlines()]
         assert len(rows) == len(records) == n
         for row, record in zip(rows, records):
-            k, count, max_fired, l_prime, _ = row.split(",")
+            k, count, top, l_prime, _ = row.split(",")
             cols = sorted(record["fired"])
             start = len(cols) - 1  # start of the last run of consecutive columns
             while start > 0 and cols[start - 1] == cols[start] - 1:
                 start -= 1
             expected = (len(cols), str(cols[-1]), cols[start]) if cols else (0, "", 0)
             assert int(k) == record["k"]
-            assert (int(count), max_fired, int(l_prime)) == expected
+            assert (int(count), top, int(l_prime)) == expected
         assert int(rows[-1].split(",")[-1]) == fixed_point(n, Params(p)).width()
 
     @pytest.mark.parametrize("p, n", [(1, 300), (2, 9000)])
     def test_budget_is_the_scan_total(self, capsys, monkeypatch, p, n):
-        full = library_scan(n, p)["csv"]
+        full = leftmost_scan(n, p)["csv"]
         total = sum(int(row.split(",")[1]) for row in full.splitlines()[1:])
         argv = ("avalanche", "--p", str(p), "--upto", str(n), "--format", "csv")
         monkeypatch.setenv("KSPM_WORK_LIMIT", str(total))
@@ -579,6 +590,7 @@ class TestDeterminism:
 
 class TestLibraryParity:
     def test_scan_csv_matches_library_writer(self, capsys):
+        """The benchmark's library writer and the CLI both write the leftmost rows."""
         import io
 
         from kspm import Params, ScanCsvWriter, incremental_scan
@@ -586,7 +598,7 @@ class TestLibraryParity:
         _, cli_out, _ = run(capsys, "avalanche", "--p", "2", "--upto", "40", "--format", "csv")
         buf = io.StringIO()
         incremental_scan(40, Params(2), ScanCsvWriter(buf))
-        assert cli_out == buf.getvalue()
+        assert cli_out == buf.getvalue() == leftmost_scan(40, 2)["csv"]
 
     def test_figure_diffs_match_trajectory(self, capsys):
         from kspm import Params, avg_trajectory

@@ -11,7 +11,6 @@ from kspm import (
     fixed_point,
     incremental_scan,
     pile,
-    run_avalanche,
     shot_vector,
     stabilize,
     verify,
@@ -387,7 +386,7 @@ LIMITED_ENTRIES = {
     "fixed_point": lambda w: fixed_point(24, Params(2), w),
     "pile": lambda w: pile(24, Params(2), w),
     "steps": lambda w: list(steps(30, 2, w)),
-    "run_avalanche": lambda w: run_avalanche(fixed_point(5, Params(2)), work_limit=w),
+    "steps-start": lambda w: list(steps(1, 2, w, 5)),
     "incremental_scan": lambda w: incremental_scan(30, Params(2), work_limit=w),
     "check_confluence": lambda w: verify.check_confluence(2, 5, 1, 0, w),
     "check_plateau": lambda w: verify.check_plateau(2, 5, w),

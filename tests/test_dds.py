@@ -15,13 +15,14 @@ from kspm import (
     avg_step,
     avg_trajectory,
     dds,
+    firing_order,
     first_constant_index,
     fixed_point,
-    incremental_scan,
     pile,
     reconstruct_b,
     shot_vector,
     spectrum,
+    steps,
     trajectory_of,
     x_step,
     x_to_avg,
@@ -87,28 +88,25 @@ class TestShotVector:
     def test_relation_along_full_scan(self, p):
         """b_n = a_{n-p} - (p+1) a_n + p a_{n+1} at every k <= 2000, every n.
 
-        Shot counts are accumulated from the avalanche records (each
+        Shot counts are accumulated from each avalanche's firing order (each
         column fires at most once per avalanche), an independent route
         from the stabilization engine's own counters.
         """
         shots: list[int] = []
         failures = []
-
-        def sink(k, record, c):
-            for col in record.fired:
+        for k, head, _, last, b in steps(2000, p):
+            for col in firing_order(b, p, head, last):
                 if col >= len(shots):
                     shots.extend([0] * (col + 1 - len(shots)))
                 shots[col] += 1
-            width = c.width()
+            width = len(b)
             for n in range(width + p):
                 a_nm_p = shots[n - p] if 0 <= n - p < len(shots) else (k if n == 0 else 0)
                 a_n = shots[n] if n < len(shots) else 0
                 a_n1 = shots[n + 1] if n + 1 < len(shots) else 0
-                b_n = c.diffs[n] if n < width else 0
+                b_n = b[n] if n < width else 0
                 if b_n != a_nm_p - (p + 1) * a_n + p * a_n1:
                     failures.append((k, n))
-
-        incremental_scan(2000, Params(p), sink)
         assert not failures
 
 

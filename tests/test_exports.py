@@ -43,3 +43,12 @@ def test_bench_calls_only_names_that_exist(script):
             used.add((f"kspm.{node.value.id}", node.attr))
     assert used
     assert sorted(u for u in used if not _exists(*u)) == []
+
+
+def test_kth_avalanche_from_the_package():
+    """The k-th avalanche is the first step of a scan from pi(k - 1), with its whole
+    firing order read off the pile by `firing_order`, both exported."""
+    assert {"steps", "firing_order"} <= set(kspm.__all__)
+    k, head, _, last, b = next(kspm.steps(1, 2, start=24))
+    assert k == 25
+    assert kspm.firing_order(b, 2, head, last) == [0, 2, 1, 4, 3]

@@ -4,7 +4,7 @@ import threading
 
 import pytest
 
-from kspm import Params, analysis, avalanche, dds, fixed_point, incremental_scan
+from kspm import Params, _engine, analysis, avalanche, dds, fixed_point, incremental_scan, verify
 from kspm.errors import InvalidParameter, WorkLimitExceeded
 from kspm.verify import (
     check_confluence,
@@ -16,6 +16,8 @@ from kspm.verify import (
     check_support,
     check_waves,
 )
+
+import reference
 
 
 class TestSuitesPass:
@@ -45,7 +47,16 @@ class TestSuitesPass:
     def test_density(self):
         result = check_density(2, 300)
         assert result.passed
-        assert result.data["l_global"] >= 0
+        # L'(2, k) for k <= 300 from leftmost on each pile plus a grain, and brute-force holes
+        b, lps = [0], []
+        for _ in range(300):
+            b[0] += 1
+            fired = []
+            _engine.leftmost(b, 2, 10**10, fired)
+            holes = reference.brute_holes(fired)
+            lps.append(holes[-1] + 1 if holes else 0)
+        assert result.data["l_global"] == max(lps) > 0
+        assert result.data["checkpoints"][256] == max(lps[:256])
 
     def test_recurrence(self):
         assert check_recurrence(3, 60).passed
@@ -174,6 +185,19 @@ class TestFailPaths:
         assert result.counterexample == {
             "p": 3, "N": 24, "first_constant_index": 0, "diffs": [0, 0, 3, 2, 0, 0, 1]}
 
+    def test_recurrence(self, monkeypatch):
+        good = verify.fixed_point
+        # from scratch, k = 24 grains come back as pi(23)
+        monkeypatch.setattr(verify, "fixed_point",
+                            lambda k, params, limit: good(k - (k == 24), params, limit))
+        result = check_recurrence(2, 40)
+        assert not result.passed
+        assert result.line() == (
+            "FAIL: recurrence p=2 incremental and from-scratch piles differ at k=24")
+        assert result.detail == "incremental and from-scratch piles differ at k=24"
+        assert result.counterexample == {
+            "p": 2, "k": 24, "incremental": [2, 1, 2, 1, 2], "scratch": [1, 1, 2, 1, 2]}
+
 
 class TestEmptyRanges:
     @pytest.mark.parametrize(
@@ -214,18 +238,23 @@ class TestWorkLimits:
             incremental_scan(500, Params(2), work_limit=20)
 
 
+def final_pile(n, p):
+    """pi(n) as the last pile of a scan."""
+    for *_, b in avalanche.steps(n, p):
+        pass
+    return tuple(b)
+
+
 class TestConcurrency:
     def test_parallel_scans_match_serial(self):
         """Distinct (p, N) scans share no state and can run concurrently."""
         cells = [(1, 150), (2, 200), (3, 120), (4, 90)]
-        serial = {
-            (p, n): incremental_scan(n, Params(p)).final.diffs for p, n in cells
-        }
+        serial = {(p, n): final_pile(n, p) for p, n in cells}
         parallel = {}
         lock = threading.Lock()
 
         def work(p, n):
-            final = incremental_scan(n, Params(p)).final.diffs
+            final = final_pile(n, p)
             with lock:
                 parallel[(p, n)] = final
 
@@ -235,3 +264,4 @@ class TestConcurrency:
         for t in threads:
             t.join()
         assert parallel == serial
+        assert serial == {(p, n): fixed_point(n, Params(p)).diffs for p, n in cells}
