@@ -23,6 +23,7 @@ from kspm import (
 from kspm import _engine
 from kspm.avalanche import steps
 from kspm.errors import InvalidParameter, WorkLimitExceeded
+from kspm.verify import check_density
 
 import reference
 
@@ -193,6 +194,17 @@ class TestIncrementalScan:
         incremental_scan(40, Params(p), lambda k, a, c: piles.update({k: c}))
         for k in range(1, 41):
             assert piles[k] == fixed_point(k, Params(p))
+
+    def test_summary_l_global(self):
+        """L(p, N), the largest L' over the scan's avalanches, is check_density's l_global."""
+        def l_global(n, p):
+            holes = []
+            incremental_scan(n, Params(p), lambda k, a, c: holes.append(reference.brute_holes(a.fired)))
+            return max((hs[-1] + 1 for hs in holes if hs), default=0)
+
+        assert l_global(1, 2) == check_density(2, 1).data["l_global"] == 0
+        assert l_global(25, 2) == check_density(2, 25).data["l_global"]
+        assert l_global(300, 3) == check_density(3, 300).data["l_global"] > 0
 
     def test_observer_sees_every_k(self):
         ks = []
