@@ -13,10 +13,7 @@ from .core import (
     DEFAULT_WORK_LIMIT,
     GRAIN_LIMIT,
     HeightProfile,
-    LEFTMOST,
     Params,
-    RIGHTMOST,
-    RandomStrategy,
     fixed_point,
     stabilize,
 )
@@ -26,7 +23,6 @@ from .dds import (
     AvgVector,
     ShotVector,
     SpectrumReport,
-    XVector,
     avg_step,
     avg_trajectory,
     first_constant_index,
@@ -35,8 +31,6 @@ from .dds import (
     shot_vector,
     spectrum,
     trajectory_of,
-    x_step,
-    x_to_avg,
 )
 from .analysis import (
     WaveReport,
@@ -57,16 +51,12 @@ __all__ = [
     "DEFAULT_WORK_LIMIT",
     "GRAIN_LIMIT",
     "HeightProfile",
-    "LEFTMOST",
     "Params",
-    "RIGHTMOST",
-    "RandomStrategy",
     "ScanCsvWriter",
     "ScanSummary",
     "ShotVector",
     "SpectrumReport",
     "WaveReport",
-    "XVector",
     "avg_step",
     "avg_trajectory",
     "decompose_suffix",
@@ -88,8 +78,6 @@ __all__ = [
     "steps",
     "trajectory_of",
     "wave_report",
-    "x_step",
-    "x_to_avg",
 ]
 
 __version__ = "0.1.0"

@@ -12,9 +12,8 @@ the right, i.e.
 
 The rewriting system has the diamond property, so from any configuration
 a unique fixed point is reached and the number of firings is the same for
-every strategy.  `stabilize` exposes leftmost, rightmost, and seeded
-random strategies so that this strong convergence can be exercised rather
-than assumed.
+every firing order.  `stabilize` fires leftmost; `verify.check_confluence`
+runs the rightmost and seeded random orders against it.
 
 Values are immutable after construction and all operations are pure, so
 they can be shared freely across threads; parallelism belongs above this
@@ -36,9 +35,6 @@ from .errors import (
 
 DEFAULT_WORK_LIMIT = _engine.DEFAULT_WORK_LIMIT
 GRAIN_LIMIT = _engine.GRAIN_LIMIT
-
-LEFTMOST = "leftmost"
-RIGHTMOST = "rightmost"
 
 
 def check_grains(grains: int, minimum: int = 0, p: int | None = None) -> None:
@@ -93,17 +89,6 @@ class Params:
     def __post_init__(self) -> None:
         if type(self.p) is not int or self.p < 1:
             raise InvalidParameter(f"p must be a positive integer, got {self.p!r}")
-
-
-@dataclass(frozen=True)
-class RandomStrategy:
-    """Fire uniformly among enabled columns, driven by a seeded PRNG."""
-
-    seed: int
-
-    def __post_init__(self) -> None:
-        if type(self.seed) is not int:  # None would draw it from OS entropy: not reproducible
-            raise InvalidParameter(f"seed must be an int, got {self.seed!r}")
 
 
 @dataclass(frozen=True)
@@ -188,27 +173,14 @@ class Configuration:
 
 
 def stabilize(
-    c: Configuration,
-    strategy: str | RandomStrategy = LEFTMOST,
-    work_limit: int = DEFAULT_WORK_LIMIT,
+    c: Configuration, work_limit: int = DEFAULT_WORK_LIMIT
 ) -> tuple[Configuration, int]:
-    """Run the pile to its fixed point; returns (fixed point, total firings).
-
-    Both results are strategy-independent (strong convergence); the
-    strategy only selects the firing order actually executed.
-    """
+    """Run the pile to its fixed point, firing leftmost; returns (fixed point,
+    total firings), which every firing order shares (strong convergence)."""
     check_grains(c.grain_count(), p=c.params.p)
     check_limit(work_limit)
     b = list(c.diffs)
-    p = c.params.p
-    if strategy == LEFTMOST:
-        total = _engine.leftmost(b, p, work_limit)
-    elif strategy == RIGHTMOST:
-        total = _engine.worklist(b, p, work_limit)
-    elif isinstance(strategy, RandomStrategy):
-        total = _engine.worklist(b, p, work_limit, strategy.seed)
-    else:
-        raise InvalidParameter(f"unknown strategy {strategy!r}")
+    total = _engine.leftmost(b, c.params.p, work_limit)
     return Configuration._trusted(tuple(b), c.params), total
 
 

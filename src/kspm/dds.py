@@ -13,16 +13,14 @@ division is forced by a congruence, which also pins b_n down to one value
 end, where a_n = 0 from len(b) - p on, a_{n-p} = b_n + (p+1) a_n - p a_{n+1}
 needs no division: `_engine.odometer` reads each shot vector off its pile.
 
-Sliding windows of the shot vector evolve linearly.  X_n holds the p+1
-counts a_{n-p} .. a_n; one step shifts the window and appends the exact
-quotient above.  Changing basis and projecting out one component turns
-this into the averaging system on Z^p,
+The consecutive differences of the shot vector evolve as the averaging
+system on Z^p,
 
     Y_{n+1} = shift up, append mean(Y_n) + b_n / p,
 
-whose state Y_n = x_to_avg(X_n) holds consecutive shot-vector differences,
-so `trajectory_of` reads each Y_n off them: sum(Y_n) + b_n = p (a_{n+1} - a_n)
-is the identity above, which it checks once.
+whose state Y_n holds a_{i+1} - a_i for i = n-p .. n-1, so `trajectory_of`
+reads each Y_n off them: sum(Y_n) + b_n = p (a_{n+1} - a_n) is the identity
+above, which it checks once.
 All dynamics here stay in exact integer arithmetic.  So do the claims
 behind the contraction argument (the roots of R are distinct, their
 modulus is at most (p-1)/p, and with 0 they are the mean-centered step
@@ -74,19 +72,11 @@ class ShotVector:
         p = self.params.p
         return [self.grains, *[0] * (p - 1), *self.counts, *[0] * (2 * p + 1)]
 
-    def x_vector(self, n: int) -> "XVector":
-        p = self.params.p
-        return XVector(tuple(self.a(n - p + j) for j in range(p + 1)))
-
     def avg_vector(self, n: int) -> "AvgVector":
-        return x_to_avg(self.x_vector(n))
-
-
-@dataclass(frozen=True)
-class XVector:
-    """Window (a_{n-p}, ..., a_n) of the shot vector."""
-
-    entries: tuple[int, ...]
+        """Y_n: the differences a_{i+1} - a_i for i = n-p .. n-1."""
+        p = self.params.p
+        a = [self.a(n - p + j) for j in range(p + 1)]
+        return AvgVector(tuple(y - x for x, y in zip(a, a[1:])))
 
 
 @dataclass(frozen=True)
@@ -141,20 +131,6 @@ def reconstruct_b(a_nm_p: int, a_n: int, params: Params) -> set[int]:
     return {0, p} if r == 0 else {r}
 
 
-def x_step(x: XVector, b_n: int, params: Params) -> XVector:
-    """One move of the window system: shift left, append the new count."""
-    p = params.p
-    if len(x.entries) != p + 1:
-        raise InvalidParameter(f"window must have p+1 = {p + 1} entries")
-    _check_ints(x.entries)
-    if type(b_n) is not int or not 0 <= b_n <= p:
-        raise InvalidParameter(f"b must be an int in 0..{p}, got {b_n!r}")
-    num = -x.entries[0] + (p + 1) * x.entries[-1] + b_n
-    if num % p:
-        raise NonIntegral(f"({x.entries[0]}, {x.entries[-1]}, b={b_n}) leaves Z")
-    return XVector(x.entries[1:] + (num // p,))
-
-
 def avg_step(y: AvgVector, b_n: int, params: Params) -> AvgVector:
     """One move of the averaging system: shift up, append mean + b/p."""
     p = params.p
@@ -167,13 +143,6 @@ def avg_step(y: AvgVector, b_n: int, params: Params) -> AvgVector:
     if num % p:
         raise NonIntegral(f"sum {sum(y.entries)} with b={b_n} leaves Z")
     return AvgVector(y.entries[1:] + (num // p,))
-
-
-def x_to_avg(x: XVector) -> AvgVector:
-    """Basis change + projection: consecutive differences of the window."""
-    e = x.entries
-    _check_ints(e)
-    return AvgVector(tuple(e[j + 1] - e[j] for j in range(len(e) - 1)))
 
 
 def _check_ints(entries: tuple[int, ...]) -> None:

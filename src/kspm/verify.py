@@ -162,8 +162,8 @@ def check_linkage(p: int, grains_list, work_limit: int = DEFAULT_WORK_LIMIT) -> 
     name = f"linkage p={p}"
     params = Params(p)
     grains_list = list(grains_list)
-    n_lo = min(grains_list, default=0)
-    check_grains(n_lo, 1)
+    for grains in grains_list or [0]:  # every N before the first pile; no N is an empty range
+        check_grains(grains, 1)
     for grains in grains_list:
         c, sv = dds.pile(grains, params, work_limit)
         idx = dds.first_constant_index(dds.trajectory_of(c, sv, params))
@@ -176,7 +176,7 @@ def check_linkage(p: int, grains_list, work_limit: int = DEFAULT_WORK_LIMIT) -> 
                 f"suffix from first constant index {idx} not wavy for N={grains}",
                 {"p": p, "N": grains, "first_constant_index": idx, "diffs": list(c.diffs)},
             )
-    n_hi = max(grains_list)
+    n_lo, n_hi = min(grains_list), max(grains_list)
     return CheckResult(name, True, f"{len(grains_list)} piles in [{n_lo}, {n_hi}] linked")
 
 

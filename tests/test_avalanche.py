@@ -86,8 +86,7 @@ class TestRunAvalanche:
     def test_matches_leftmost_stabilize(self):
         for p, k in ((2, 25), (3, 50), (4, 101)):
             fired, result = kth(k, p)
-            stepped, total = stabilize(plus_grain(fixed_point(k - 1, Params(p)).diffs, p),
-                                       "leftmost")
+            stepped, total = stabilize(plus_grain(fixed_point(k - 1, Params(p)).diffs, p))
             assert result == stepped.diffs
             assert len(fired) == total
 
@@ -225,22 +224,6 @@ class TestIncrementalScan:
         assert incremental_scan(n, Params(p), work_limit=total).total_firings == total
         with pytest.raises(WorkLimitExceeded):
             incremental_scan(n, Params(p), work_limit=total - 1)
-
-
-class TestDensityOnRealAvalanches:
-    @pytest.mark.parametrize("p", [2, 4])
-    def test_report_invariants_along_scan(self, p):
-        """L' is one past the largest hole, every column from L' to the largest
-        fired one fires, and column L' - 1 does not."""
-        for _, head, lp, last, b in steps(300, p):
-            fired = firing_order(b, p, head, last)
-            hs = reference.brute_holes(fired)
-            assert lp == (hs[-1] + 1 if hs else 0)
-            if fired:
-                assert set(range(lp, max(fired) + 1)) <= set(fired)
-                assert lp - 1 not in fired
-            else:
-                assert lp == 0 and last == -1
 
 
 class TestScanCsv:

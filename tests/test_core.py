@@ -4,10 +4,10 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from kspm import (
+    DEFAULT_WORK_LIMIT,
     Configuration,
     HeightProfile,
     Params,
-    RandomStrategy,
     fixed_point,
     incremental_scan,
     pile,
@@ -15,6 +15,7 @@ from kspm import (
     stabilize,
     verify,
 )
+from kspm import _engine
 from kspm.avalanche import steps
 from kspm.errors import (
     FiringNotEnabled,
@@ -139,21 +140,26 @@ class TestStabilize:
             c, total = stabilize(cfg([p], p))
             assert c.diffs == (p,) and total == 0
 
-    @pytest.mark.parametrize("strategy", ["rightmost", RandomStrategy(7)])
-    def test_strategies_agree(self, strategy):
+    # worklist's rightmost (seed None) and seeded random orders against leftmost;
+    # check_confluence runs them only from single piles [N]
+    @pytest.mark.parametrize("seed", [None, 7], ids=["rightmost", "strategy1"])
+    def test_strategies_agree(self, seed):
         for n in (5, 24, 100, 237):
-            base, base_total = stabilize(cfg([n], 3))
-            alt, alt_total = stabilize(cfg([n], 3), strategy)
+            base, alt = [n], [n]
+            base_total = _engine.leftmost(base, 3, DEFAULT_WORK_LIMIT)
+            alt_total = _engine.worklist(alt, 3, DEFAULT_WORK_LIMIT, seed)
             assert alt == base and alt_total == base_total
 
     @given(small_config)
     @settings(max_examples=40)
     def test_confluence_from_arbitrary_start(self, pc):
         p, diffs = pc
-        c = cfg(diffs, p)
-        ref, ref_total = stabilize(c)
-        for strategy in ("rightmost", RandomStrategy(0), RandomStrategy(123)):
-            alt, alt_total = stabilize(c, strategy)
+        b = list(cfg(diffs, p).diffs)
+        ref = list(b)
+        ref_total = _engine.leftmost(ref, p, DEFAULT_WORK_LIMIT)
+        for seed in (None, 0, 123):
+            alt = list(b)
+            alt_total = _engine.worklist(alt, p, DEFAULT_WORK_LIMIT, seed)
             assert alt == ref and alt_total == ref_total
 
     @given(small_config)
@@ -200,16 +206,6 @@ class TestStabilize:
     def test_work_limit(self):
         with pytest.raises(WorkLimitExceeded):
             stabilize(cfg([10**6], 2), work_limit=10)
-
-    @pytest.mark.parametrize("seed", [None, 1.5, "x", True])
-    def test_random_seed_must_be_int(self, seed):
-        # None would seed from OS entropy, so the firing order would not repeat
-        with pytest.raises(InvalidParameter):
-            RandomStrategy(seed)
-
-    def test_unknown_strategy(self):
-        with pytest.raises(InvalidParameter):
-            stabilize(cfg([9], 2), "inward")
 
 
 class TestFixedPoint:

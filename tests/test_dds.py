@@ -1,17 +1,15 @@
-"""Shot vectors, the window and averaging systems, and the spectrum checks."""
+"""Shot vectors, the averaging system, and the spectrum checks."""
 
 import math
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from kspm import (
     AvgVector,
     Configuration,
     Params,
     ShotVector,
-    XVector,
     avg_step,
     avg_trajectory,
     dds,
@@ -24,8 +22,6 @@ from kspm import (
     spectrum,
     steps,
     trajectory_of,
-    x_step,
-    x_to_avg,
 )
 from kspm.errors import IndexOutOfRange, InvalidParameter, NonIntegral
 
@@ -131,39 +127,6 @@ class TestReconstructB:
                 assert candidates in ({b_n}, {0, p})
 
 
-class TestXStep:
-    def test_window_step_reproduces_known_count(self):
-        sv = shot_vector(2000, Params(4))
-        x8 = sv.x_vector(8)
-        assert x8.entries == (sv.a(4), sv.a(5), sv.a(6), sv.a(7), 120)
-        assert x8.entries[0] == 189
-        x9 = x_step(x8, 1, Params(4))
-        assert x9.entries[-1] == 103
-
-    def test_first_window_step_of_pile24(self):
-        x0 = XVector((24, 0, 8))
-        assert x_step(x0, 2, Params(2)).entries == (0, 8, 1)
-
-    def test_non_integral(self):
-        with pytest.raises(NonIntegral):
-            x_step(XVector((24, 0, 8)), 1, Params(2))
-
-    def test_validates_b_range(self):
-        with pytest.raises(InvalidParameter):
-            x_step(XVector((24, 0, 8)), 3, Params(2))
-
-    def test_window_consistency_along_shot_vector(self):
-        for p, n_grains in ((2, 24), (3, 100), (4, 2000)):
-            params = Params(p)
-            sv = shot_vector(n_grains, params)
-            pi = fixed_point(n_grains, params)
-            x = sv.x_vector(0)
-            for n in range(pi.width() + p):
-                b_n = pi.diffs[n] if n < pi.width() else 0
-                x = x_step(x, b_n, params)
-                assert x == sv.x_vector(n + 1)
-
-
 class TestAvgStep:
     def test_known_step_of_pile2000(self):
         y = AvgVector((-3, -5, -7, -7))
@@ -183,20 +146,6 @@ class TestAvgStep:
         assert avg_step(AvgVector((5,)), 1, Params(1)).entries == (6,)
         assert avg_step(AvgVector((5,)), 0, Params(1)).entries == (5,)
 
-    @given(st.integers(2, 5), st.data())
-    @settings(max_examples=60)
-    def test_commutes_with_window_step(self, p, data):
-        """Projecting the window to differences then stepping equals
-        stepping the window then projecting."""
-        params = Params(p)
-        entries = tuple(
-            data.draw(st.integers(-50, 50)) for _ in range(p + 1)
-        )
-        x = XVector(entries)
-        r = (entries[0] - (p + 1) * entries[-1]) % p
-        b = data.draw(st.sampled_from([0, p])) if r == 0 else r
-        assert avg_step(x_to_avg(x), b, params) == x_to_avg(x_step(x, b, params))
-
 
 _P2 = Params(2)
 
@@ -208,12 +157,6 @@ _P2 = Params(2)
         lambda: avg_step(AvgVector((0, 0)), True, _P2),
         lambda: avg_step(AvgVector((1.0, 0)), 1, _P2),
         lambda: avg_step(AvgVector((True, 0)), 1, _P2),
-        lambda: x_step(XVector((0, 0, 0)), 2.0, _P2),
-        lambda: x_step(XVector((0, 0, 0)), True, _P2),
-        lambda: x_step(XVector((1.0, 2, 3)), 0, _P2),
-        lambda: x_step(XVector((True, 2, 3)), 0, _P2),
-        lambda: x_to_avg(XVector((1.0, 2, 3))),
-        lambda: x_to_avg(XVector((True, 2, 3))),
         lambda: reconstruct_b(1.5, 2, _P2),
         lambda: reconstruct_b(2, 1.5, _P2),
         lambda: reconstruct_b(True, 0, _P2),
@@ -223,9 +166,8 @@ _P2 = Params(2)
     ],
     ids=[
         "avg_step-float", "avg_step-bool", "avg_step-float-entry", "avg_step-bool-entry",
-        "x_step-float", "x_step-bool", "x_step-float-entry", "x_step-bool-entry",
-        "x_to_avg-float-entry", "x_to_avg-bool-entry", "reconstruct_b-float-a",
-        "reconstruct_b-float-b", "reconstruct_b-bool", "a-float", "a-negative-float", "a-bool",
+        "reconstruct_b-float-a", "reconstruct_b-float-b", "reconstruct_b-bool", "a-float",
+        "a-negative-float", "a-bool",
     ],
 )
 def test_exact_systems_reject_non_int(call):
