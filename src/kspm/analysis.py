@@ -39,21 +39,23 @@ import functools
 import math
 import re
 import sys
-from dataclasses import dataclass
 from typing import Sequence
 
-from .core import Configuration, HeightProfile, check_index
+from .core import Configuration, HeightProfile, _Value, check_index
 from .errors import InvalidParameter, NoMatch, NotStable
 
 
-@dataclass(frozen=True)
-class WaveReport:
-    """Wave structure of a stable configuration's suffix."""
+class WaveReport(_Value):
+    """Wave structure of a stable configuration's suffix: `decomposition` holds (zero-run,
+    wave count) pairs; `nontrivial`, that the loose match covers at least one wave."""
 
-    theorem1_index: int
-    theorem2_index: int
-    decomposition: tuple[tuple[int, int], ...]  # (zero-run, wave count) pairs
-    nontrivial: bool  # the loose match covers at least one wave
+    __slots__ = ("theorem1_index", "theorem2_index", "decomposition", "nontrivial")
+    def __init__(self, theorem1_index: int, theorem2_index: int,
+                 decomposition: tuple[tuple[int, int], ...], nontrivial: bool) -> None:
+        object.__setattr__(self, "theorem1_index", theorem1_index)
+        object.__setattr__(self, "theorem2_index", theorem2_index)
+        object.__setattr__(self, "decomposition", decomposition)
+        object.__setattr__(self, "nontrivial", nontrivial)
 
 
 @functools.cache

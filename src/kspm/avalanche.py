@@ -27,24 +27,25 @@ so distinct scans share no state and can run concurrently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, IO, Iterator, Optional, Sequence
 
 from . import _engine
-from .core import Configuration, DEFAULT_WORK_LIMIT, Params, check_grains, check_limit
+from .core import Configuration, DEFAULT_WORK_LIMIT, Params, _Value, check_grains, check_limit
 
 
-@dataclass(frozen=True)
-class Avalanche:
+class Avalanche(_Value):
     """Columns fired (in order) while absorbing the k-th grain."""
 
-    k: int
-    fired: tuple[int, ...]
+    __slots__ = ("k", "fired")
+    def __init__(self, k: int, fired: tuple[int, ...]) -> None:
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "fired", fired)
 
 
-@dataclass(frozen=True)
-class ScanSummary:
-    total_firings: int
+class ScanSummary(_Value):
+    __slots__ = ("total_firings",)
+    def __init__(self, total_firings: int) -> None:
+        object.__setattr__(self, "total_firings", total_firings)
 
 
 def steps(

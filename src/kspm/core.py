@@ -22,7 +22,7 @@ module (e.g. independent (p, N) sweeps).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import operator
 from typing import Iterable
 
 from . import _engine
@@ -80,40 +80,64 @@ def _naturals(values: Iterable[int], what: str) -> tuple[int, ...]:
     return vs[:end]
 
 
-@dataclass(frozen=True)
-class Params:
+class _Value:
+    """A frozen record: the subclass's `__init__` fills its `__slots__` by object.__setattr__.
+    Records are equal when of one class with equal fields; hash, repr and pickle go by field."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._key = operator.attrgetter(*cls.__slots__)  # one C call reads every field
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or self._key(self) == other._key(other)
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name: str, *_: object) -> None:
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+    __delattr__ = __setattr__
+
+    def __reduce__(self) -> tuple:
+        return type(self), tuple(getattr(self, n) for n in self.__slots__)
+
+
+class Params(_Value):
     """Model parameter: p grains fall at each firing."""
 
-    p: int
+    __slots__ = ("p",)
+    def __init__(self, p: int) -> None:
+        if type(p) is not int or p < 1:
+            raise InvalidParameter(f"p must be a positive integer, got {p!r}")
+        object.__setattr__(self, "p", p)
 
-    def __post_init__(self) -> None:
-        if type(self.p) is not int or self.p < 1:
-            raise InvalidParameter(f"p must be a positive integer, got {self.p!r}")
 
-
-@dataclass(frozen=True)
-class HeightProfile:
+class HeightProfile(_Value):
     """Column heights: non-increasing, ultimately null."""
 
-    heights: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        hs = _naturals(self.heights, "height")
-        object.__setattr__(self, "heights", hs)
+    __slots__ = ("heights",)
+    def __init__(self, heights: tuple[int, ...]) -> None:
+        hs = _naturals(heights, "height")
         for prev, h in zip(hs, hs[1:]):
             if h > prev:
                 raise NotMonotone(f"heights increase: {prev} -> {h}")
+        object.__setattr__(self, "heights", hs)
 
 
-@dataclass(frozen=True)
-class Configuration:
+class Configuration(_Value):
     """Height-difference form of a pile, trailing zeros trimmed."""
 
-    diffs: tuple[int, ...]
-    params: Params
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "diffs", _naturals(self.diffs, "height difference"))
+    __slots__ = ("diffs", "params")
+    def __init__(self, diffs: tuple[int, ...], params: Params) -> None:
+        object.__setattr__(self, "diffs", _naturals(diffs, "height difference"))
+        object.__setattr__(self, "params", params)
 
     # -- constructors ------------------------------------------------
 

@@ -30,9 +30,7 @@ Fractions; floating point appears only in the roots `spectrum` reports.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .core import Configuration, DEFAULT_WORK_LIMIT, Params, _single_pile, check_grains
+from .core import Configuration, DEFAULT_WORK_LIMIT, Params, _Value, _single_pile, check_grains
 from .errors import (
     IndexOutOfRange,
     InvalidParameter,
@@ -41,13 +39,14 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
-class ShotVector:
+class ShotVector(_Value):
     """Per-column firing counts for the pile of `grains` on column 0."""
 
-    counts: tuple[int, ...]
-    grains: int
-    params: Params
+    __slots__ = ("counts", "grains", "params")
+    def __init__(self, counts: tuple[int, ...], grains: int, params: Params) -> None:
+        object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "grains", grains)
+        object.__setattr__(self, "params", params)
 
     def a(self, i: int) -> int:
         """Count at index i, honoring the boundary convention below 0."""
@@ -79,11 +78,12 @@ class ShotVector:
         return AvgVector(tuple(y - x for x, y in zip(a, a[1:])))
 
 
-@dataclass(frozen=True)
-class AvgVector:
+class AvgVector(_Value):
     """Consecutive shot-vector differences (may be negative)."""
 
-    entries: tuple[int, ...]
+    __slots__ = ("entries",)
+    def __init__(self, entries: tuple[int, ...]) -> None:
+        object.__setattr__(self, "entries", entries)
 
     def is_constant(self) -> bool:
         return len(set(self.entries)) <= 1
@@ -93,13 +93,14 @@ class AvgVector:
         return sum(self.entries)
 
 
-@dataclass(frozen=True)
-class SpectrumReport:
+class SpectrumReport(_Value):
     """The roots of R for one p in floats, and their largest modulus."""
 
-    p: int
-    roots: tuple[complex, ...]
-    max_modulus: float
+    __slots__ = ("p", "roots", "max_modulus")
+    def __init__(self, p: int, roots: tuple[complex, ...], max_modulus: float) -> None:
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "roots", roots)
+        object.__setattr__(self, "max_modulus", max_modulus)
 
 
 def pile(

@@ -11,21 +11,20 @@ want parallelism.  The support and density suites read each pile of
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
-
 from . import _engine, analysis, avalanche, dds
-from .core import DEFAULT_WORK_LIMIT, Params, check_grains, check_limit, fixed_point
+from .core import DEFAULT_WORK_LIMIT, Params, _Value, check_grains, check_limit, fixed_point
 from .errors import InvalidParameter
 
 
-@dataclass
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str
-    counterexample: Optional[dict] = None
-    data: dict = field(default_factory=dict)
+class CheckResult(_Value):
+    __slots__ = ("name", "passed", "detail", "counterexample", "data")
+    def __init__(self, name: str, passed: bool, detail: str,
+                 counterexample: dict | None = None, data: dict | None = None) -> None:
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "detail", detail)
+        object.__setattr__(self, "counterexample", counterexample)
+        object.__setattr__(self, "data", {} if data is None else data)
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -161,7 +160,10 @@ def check_linkage(p: int, grains_list, work_limit: int = DEFAULT_WORK_LIMIT) -> 
     """From the first constant averaging state, the loose wave form holds."""
     name = f"linkage p={p}"
     params = Params(p)
-    grains_list = list(grains_list)
+    try:
+        grains_list = list(grains_list)
+    except TypeError:
+        raise InvalidParameter(f"grains_list must list grain counts, got {grains_list!r}") from None
     for grains in grains_list or [0]:  # every N before the first pile; no N is an empty range
         check_grains(grains, 1)
     for grains in grains_list:

@@ -43,6 +43,22 @@ def test_import_without_numpy():
     assert proc.stderr == b""
 
 
+def test_import_loads_no_heavy_modules():
+    """`import kspm, kspm.cli` adds none of these modules to those the interpreter
+    (with whatever `site` loads) already holds; `verify spectrum` imports `fractions` late."""
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import kspm, kspm.cli\n"
+        "print(' '.join(sorted(set(sys.modules) - before)))\n"
+    )
+    proc = without_numpy(code=code)
+    assert proc.returncode == 0, proc.stderr.decode()
+    added = set(proc.stdout.decode().split())
+    assert "kspm.cli" in added
+    assert added & {"dataclasses", "inspect", "numpy", "fractions"} == set()
+
+
 def test_relaxed_pile_needs_numpy():
     """The block works: the first pile at the cutoff relaxes, and its import fails."""
     proc = without_numpy("fixpoint", "--p", "2", "--n", "4096")

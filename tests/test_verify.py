@@ -210,6 +210,7 @@ class TestEmptyRanges:
             pytest.param(check_linkage, (2, []), id="linkage"),
             pytest.param(check_linkage, (2, [5, "a"]), id="linkage-str"),
             pytest.param(check_linkage, (2, [5, None]), id="linkage-none"),
+            pytest.param(check_linkage, (2, 5), id="linkage-int"),
             pytest.param(check_waves, (2, 0), id="waves"),
             pytest.param(check_support, (2, 0), id="support"),
             pytest.param(check_density, (2, 0), id="density"),
