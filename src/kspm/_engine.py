@@ -580,50 +580,68 @@ def max_plateau_over_trajectory(grains: int, p: int, limit: int) -> int:
     it, so the support end is always len(b) - 1: growing b from m to
     i + p + 1 cells adds a run of exactly i + p - m zeros.  Runs only shrink
     in between, so every zero run is at most p long: the plateau bound p+1.
+
+    Two shortcuts keep the plain leftmost loop's firings, budget and answer.
+    The pile first fires column 0 F = N // (p+1) times in a row, through the
+    piles [N - j(p+1), 0^(p-1), j]: column 0 holds more than p for j < F and
+    is the leftmost column.  The first of these grows b to p + 1 cells, a
+    zero run of p - 1, and the others write only columns 0 and p, so the
+    pile after F - 1 of them is set at once.  The loop fires the last, which
+    may empty column 0, and charges all F: a budget below F is exceeded
+    there, as in the plain loop.  And a firing at i that puts p on a left neighbour holding
+    0 < ov <= p enables i - 1, the new leftmost column, so each such cascade
+    leftwards fires in an inner loop, without going back to the scan.
     """
-    b = [grains] if grains else []
     pp1 = p + 1
+    total = grains // pp1 - 1  # column 0's opening firings but the last, charged with it
+    if total > 0:
+        b = [grains - total * pp1, *[0] * (p - 1), total]
+        enabled = 2 if total > p else 1
+        longest = p - 1  # longest zero run seen so far
+    else:
+        total = 0
+        b = [grains] if grains else []
+        enabled = 1 if grains > p else 0
+        longest = 0
     m = len(b)
-    enabled = 1 if grains > p else 0
     pos = 0
-    longest = 0  # longest zero run seen so far
-    total = 0
     while enabled:
         v = b[pos]
         while v <= p:
             pos += 1
             v = b[pos]
-        i = pos
-        total += 1
-        if total > limit:
-            raise WorkLimitExceeded(f"firing budget {limit} exceeded")
-        nv = v - pp1
-        b[i] = nv
-        if nv <= p:
-            enabled -= 1
-        if i:
-            j = i - 1
-            ov = b[j]
-            if ov:
-                b[j] = ov + p
+        while True:  # fire pos, then pos - 1 while that firing enabled it
+            total += 1
+            if total > limit:
+                raise WorkLimitExceeded(f"firing budget {limit} exceeded")
+            nv = v - pp1
+            b[pos] = nv
+            if nv <= p:
+                enabled -= 1
+            ip = pos + p
+            if ip >= m:
+                if ip - m > longest:
+                    longest = ip - m
+                b.extend([0] * (ip + 1 - m))
+                m = ip + 1
+            ov = b[ip]
+            b[ip] = ov + 1
+            if ov == p:
                 enabled += 1
-                pos = j
-            else:
-                b[j] = p
-        ip = i + p
-        if ip >= m:
-            if ip - m > longest:
-                longest = ip - m
-            b.extend([0] * (ip + 1 - m))
-            m = ip + 1
-        ov = b[ip]
-        b[ip] = ov + 1
-        if ov == p:
+            if not nv:
+                hi = pos + 1
+                while not b[hi]:
+                    hi += 1
+                if hi - pos > longest:
+                    longest = hi - pos
+            if not pos:
+                break
+            pos -= 1
+            ov = b[pos]
+            if not ov:
+                b[pos] = p
+                break
+            # ov <= p (no enabled column below the leftmost one): pos is enabled now
+            b[pos] = v = ov + p
             enabled += 1
-        if not nv:
-            hi = i + 1
-            while not b[hi]:
-                hi += 1
-            if hi - i > longest:
-                longest = hi - i
     return longest + 1

@@ -24,8 +24,9 @@ above, which it checks once.
 All dynamics here stay in exact integer arithmetic.  So do the claims
 behind the contraction argument (the roots of R are distinct, their
 modulus is at most (p-1)/p, and with 0 they are the mean-centered step
-matrix's eigenvalues), which `failed_claim` proves in integers and
-Fractions; floating point appears only in the roots `spectrum` reports.
+matrix's eigenvalues), which `failed_claim` proves in integers, with
+Fractions only for coefficients other than R's; floating point appears only
+in the roots `spectrum` reports.
 """
 
 from __future__ import annotations
@@ -203,11 +204,18 @@ def failed_claim(c: list[int]) -> str | None:
     they say that the p - 1 roots of R are distinct, have modulus at most
     (p-1)/p, and with 0 are the eigenvalues of the centered step matrix
     DM = (I - J/p) A, A the averaging step's linear part (shift up, last row
-    all 1/p), so the averaging system contracts.
+    all 1/p), so the averaging system contracts.  InvalidParameter unless c
+    is a list of at least two ints.
 
-    Distinct roots: gcd(P, P') is a nonzero constant, by Euclid in Fractions.
+    Distinct roots: when (x - 1) P(x) = p x^p - (x^{p-1} + ... + 1), checked
+    first in O(p), F = (x - 1)^2 P(x) = p x^{p+1} - (p+1) x^p + 1 has
+    F' = p (p+1) x^{p-1} (x - 1).  A repeated root of P is a root of F' too,
+    so 0 or 1; but P(0) = 1 and P(1) = p (p+1) / 2.  For other coefficients,
+    gcd(P, P') is a nonzero constant, by Euclid in Fractions
+    (`_repeated_root`).
 
-    Modulus: 0 < c_0 <= ... <= c_{p-1}, and b = max c_k / c_{k+1} is (p-1)/p.
+    Modulus: 0 < c_0 <= ... <= c_{p-1}, and b = max c_k / c_{k+1} is (p-1)/p,
+    compared by integer cross-multiplication.
     By the Enestrom-Kakeya theorem (Anderson, Saff & Varga, "On the
     Enestrom-Kakeya theorem and its sharpness") every root z has |z| <= b.
     Proof: Q(z) = P(b z) has coefficients d_k = c_k b^k, and b >= c_k / c_{k+1}
@@ -222,9 +230,31 @@ def failed_claim(c: list[int]) -> str | None:
     det(xI - DM) = det(xI - A) (1 + 1^T A (xI - A)^{-1} 1 / p)
                  = det(xI - A) x / (x - 1) = x R(x).
     """
+    if type(c) is not list or len(c) < 2 or any(type(v) is not int for v in c):
+        raise InvalidParameter(f"coefficients must be a list of at least two ints, got {c!r}")
+    p = len(c)
+    closed_form = [x - y for x, y in zip([0, *c], [*c, 0])] == [-1] * p + [p]
+    if not closed_form and _repeated_root(c):
+        return "repeated root: gcd(P, P') is not a nonzero constant"
+    if not 0 < c[0] or any(x > y for x, y in zip(c, c[1:])):
+        return "coefficients not positive and nondecreasing"
+    x, y = c[0], c[1]  # the largest ratio x / y so far; every c_k > 0
+    for u, v in zip(c[1:], c[2:]):
+        if u * y > x * v:
+            x, y = u, v
+    if x * p != (p - 1) * y:
+        from fractions import Fraction
+
+        return f"modulus bound max c_k/c_(k+1) = {Fraction(x, y)}, not (p-1)/p"
+    if not closed_form:
+        return "(x-1) P(x) is not p x^p - (x^(p-1) + ... + 1)"
+    return None
+
+
+def _repeated_root(c: list[int]) -> bool:
+    """Whether gcd(P, P') is not a nonzero constant, by Euclid in Fractions."""
     from fractions import Fraction
 
-    p = len(c)
     a = [Fraction(v) for v in c]
     b = [k * v for k, v in enumerate(a)][1:]  # P'
     while any(b):
@@ -235,16 +265,7 @@ def failed_claim(c: list[int]) -> str | None:
             for k, v in enumerate(b[:-1], len(a) + 1 - len(b)):
                 a[k] -= q * v
         a, b = b, a
-    if len(a) != 1:
-        return "repeated root: gcd(P, P') is not a nonzero constant"
-    if not 0 < c[0] or any(x > y for x, y in zip(c, c[1:])):
-        return "coefficients not positive and nondecreasing"
-    bound = max(Fraction(x, y) for x, y in zip(c, c[1:]))
-    if bound != Fraction(p - 1, p):
-        return f"modulus bound max c_k/c_(k+1) = {bound}, not (p-1)/p"
-    if [x - y for x, y in zip([0, *c], [*c, 0])] != [-1] * p + [p]:
-        return "(x-1) P(x) is not p x^p - (x^(p-1) + ... + 1)"
-    return None
+    return len(a) != 1
 
 
 def spectrum(params: Params) -> SpectrumReport:

@@ -90,17 +90,34 @@ def check_plateau(p: int, n_max: int, work_limit: int = DEFAULT_WORK_LIMIT) -> C
 
 
 def check_support(p: int, n_max: int, work_limit: int = DEFAULT_WORK_LIMIT) -> CheckResult:
-    """Strict sqrt bounds on the fixed-point width for every N <= n_max."""
+    """Strict sqrt bounds on the fixed-point width for every N <= n_max.
+
+    The bounds are checked only when the width w changes or k passes `until`,
+    with the same verdict as at every k: both float bounds are nondecreasing
+    in k (sqrt, division, product and sum are correctly rounded, so monotone),
+    so w < upper(k) holds from the k where it was checked on, and
+    lower(k) < w up to any t with lower(t) < w.  (p (w+1))^2 - 1 is the last
+    k with sqrt(k)/p - 1 < w in the reals; t is that, or n_max if smaller,
+    and lower(t) is evaluated once: if rounding lifts it to w, the next k is
+    checked.
+    """
     name = f"support p={p}"
-    for k, *_, b in avalanche.steps(n_max, p, work_limit):
+    w = until = -1
+    for k, _, _, _, b in avalanche.steps(n_max, p, work_limit):
+        if len(b) == w and k <= until:
+            continue
+        w = len(b)
         lower, upper = analysis._support_limits(k, p)
-        if not lower < len(b) < upper:
+        if not lower < w < upper:
             return CheckResult(
                 name,
                 False,
-                f"width {len(b)} outside ({lower:.3f}, {upper:.3f}) at N={k}",
-                {"p": p, "N": k, "width": len(b), "lower": lower, "upper": upper},
+                f"width {w} outside ({lower:.3f}, {upper:.3f}) at N={k}",
+                {"p": p, "N": k, "width": w, "lower": lower, "upper": upper},
             )
+        until = min((p * (w + 1)) ** 2 - 1, n_max)
+        if not analysis._support_limits(until, p)[0] < w:
+            until = k
     return CheckResult(name, True, f"N<=n_max={n_max}: all widths strictly inside bounds")
 
 
@@ -187,6 +204,10 @@ def check_density(p: int, n_max: int, work_limit: int = DEFAULT_WORK_LIMIT) -> C
 
     For every k <= n_max: L'(p, k) <= emergence_index(pi(k-1)) + p + 1.
     Also records the running maximum L(p, N) at power-of-two checkpoints.
+
+    Grain k starts an avalanche only when pi(k-1)[0] = p, so the index is
+    taken only of those piles (and of pi(1)): at any other k the avalanche
+    is empty, with L' = 0 below every bound, and the index is not read.
     """
     name = f"density p={p}"
     l_global = 0
@@ -205,7 +226,8 @@ def check_density(p: int, n_max: int, work_limit: int = DEFAULT_WORK_LIMIT) -> C
             l_global = lp
         if k & (k - 1) == 0:
             checkpoints[k] = l_global
-        prev_emergence = analysis._tight_index(b, p)  # stable: the generator's proof
+        if b[0] == p or k == 1:  # k = 1: a p past the matchers' range raises at once
+            prev_emergence = analysis._tight_index(b, p)  # stable: the generator's proof
     checkpoints[n_max] = l_global
     return CheckResult(
         name, True,

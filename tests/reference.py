@@ -161,6 +161,34 @@ def centered_step_eigenvalues(p):
     return np.linalg.eigvals((np.eye(p) - np.full((p, p), 1 / p)) @ a)
 
 
+def failed_claim(c):
+    """`dds.failed_claim`'s verdict by its first method: Euclid in Fractions on
+    every list, before the three other claims, the bound as a Fraction max."""
+    from fractions import Fraction
+
+    p = len(c)
+    a = [Fraction(v) for v in c]
+    b = [k * v for k, v in enumerate(a)][1:]  # P'
+    while any(b):
+        while not b[-1]:
+            b.pop()
+        while len(a) >= len(b):
+            q = a.pop() / b[-1]
+            for k, v in enumerate(b[:-1], len(a) + 1 - len(b)):
+                a[k] -= q * v
+        a, b = b, a
+    if len(a) != 1:
+        return "repeated root: gcd(P, P') is not a nonzero constant"
+    if not 0 < c[0] or any(x > y for x, y in zip(c, c[1:])):
+        return "coefficients not positive and nondecreasing"
+    bound = max(Fraction(x, y) for x, y in zip(c, c[1:]))
+    if bound != Fraction(p - 1, p):
+        return f"modulus bound max c_k/c_(k+1) = {bound}, not (p-1)/p"
+    if [x - y for x, y in zip([0, *c], [*c, 0])] != [-1] * p + [p]:
+        return "(x-1) P(x) is not p x^p - (x^(p-1) + ... + 1)"
+    return None
+
+
 def within_one_each(got, expected, tol):
     """As many values as expected, and each expected value within tol of
     exactly one of them: a bijection when the expected values are more than

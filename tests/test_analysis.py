@@ -278,10 +278,14 @@ class TestMaxPlateau:
     def test_empty(self):
         assert max_plateau(HeightProfile(())) == 1
 
-    @pytest.mark.parametrize("p,n_max", [(2, 60), (3, 40), (1, 100), (4, 120), (6, 120)])
+    @pytest.mark.parametrize("p,n_max", [(2, 60), (3, 40), (1, 100), (4, 120), (6, 120),
+                                         (5, 72), (7, 64), (8, 81)])
     def test_trajectory_tracker_matches_stepwise_reference(self, p, n_max):
         """The engine's inline plateau tracking equals the naive maximum
-        over every intermediate height profile."""
+        over every intermediate height profile.  Each range holds N = 0 and
+        1 (mod p+1) past 2(p+1), where column 0's opening burst, set at once
+        but for its last firing, empties column 0 or leaves one grain there."""
+        assert n_max >= 4 * (p + 1)
         for n in range(1, n_max + 1):
             states = [[n]]
             pile = reference.HeightPile([n], p)
@@ -300,6 +304,21 @@ class TestMaxPlateau:
         assert max_plateau_over_trajectory(n, p, total) <= p + 1
         with pytest.raises(WorkLimitExceeded):
             max_plateau_over_trajectory(n, p, total - 1)
+
+    @pytest.mark.parametrize("p", range(1, 9))
+    def test_budget_around_the_opening_burst(self, p):
+        """With F = N // (p+1) firings of column 0 first, the budgets F - 1, F,
+        F + 1, total - 1 and total raise exactly when the run fires more."""
+        for n in [f * (p + 1) + r for f in (1, 2, 3, p + 2, 3 * p + 5) for r in (0, 1, p)]:
+            total = sum(pile_with_shots(n, p, DEFAULT_WORK_LIMIT)[1])
+            longest = max_plateau_over_trajectory(n, p, DEFAULT_WORK_LIMIT)
+            burst = n // (p + 1)
+            for limit in (burst - 1, burst, burst + 1, total - 1, total):
+                if limit < total:
+                    with pytest.raises(WorkLimitExceeded):
+                        max_plateau_over_trajectory(n, p, limit)
+                else:
+                    assert max_plateau_over_trajectory(n, p, limit) == longest
 
 
 class TestSupportLimits:

@@ -1,5 +1,6 @@
 """Shot vectors, the averaging system, and the spectrum checks."""
 
+import itertools
 import math
 import random
 
@@ -24,6 +25,7 @@ from kspm import (
     trajectory_of,
 )
 from kspm.errors import IndexOutOfRange, InvalidParameter, NonIntegral
+from kspm.verify import check_spectrum
 
 import reference
 
@@ -373,3 +375,30 @@ class TestSpectrum:
         off, so the bound is 1/2 and not 2/3; and 2 P, which passes the first
         three claims but is not p det(xI - A)."""
         assert dds.failed_claim(c).startswith(reason)
+
+    @pytest.mark.parametrize("c", [[5], [], [1, True], ["a", "b"], (1, 2)],
+                             ids=["one", "empty", "bool", "str", "tuple"])
+    def test_rejects_what_is_not_a_list_of_two_ints(self, c):
+        with pytest.raises(InvalidParameter):
+            dds.failed_claim(c)
+
+    def test_agrees_with_euclid_first(self):
+        """Every list of length 2..5 with entries 1..5, and every single-entry
+        +-1 change of r_coefficients(p), p <= 20: the closed-form shortcut gives
+        the Euclid-first verdict, message included."""
+        lists = [list(c) for n in range(2, 6) for c in itertools.product(range(1, 6), repeat=n)]
+        for p in range(2, 21):
+            r = dds.r_coefficients(p)
+            lists += [[*r[:k], r[k] + d, *r[k + 1:]] for k in range(p) for d in (-1, 1)]
+        for c in lists:
+            assert dds.failed_claim(c) == reference.failed_claim(c), c
+
+    def test_r_coefficients_skip_euclid(self, monkeypatch):
+        """R's coefficients meet the closed form, so no p runs Euclid."""
+        def euclid(c):
+            raise AssertionError(f"Euclid ran on {c}")
+
+        monkeypatch.setattr(dds, "_repeated_root", euclid)
+        assert check_spectrum(64).passed
+        with pytest.raises(AssertionError, match="Euclid ran"):
+            dds.failed_claim([1, 2, 1])  # the patch is in force

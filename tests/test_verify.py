@@ -199,6 +199,79 @@ class TestFailPaths:
             "p": 2, "k": 24, "incremental": [2, 1, 2, 1, 2], "scratch": [1, 1, 2, 1, 2]}
 
 
+class TestSettledWork:
+    """The sweeps skip work a proof settles; a FAIL that the skipped work would
+    have found still comes at the same k, with the same line and counterexample."""
+
+    @pytest.mark.parametrize(
+        "p, k_frozen, k_bad, line, counterexample",
+        [
+            (1, 30, 81, "FAIL: support p=1 width 8 outside (8.000, 20.000) at N=81",
+             {"p": 1, "N": 81, "width": 8, "lower": 8.0, "upper": 20.0}),
+            (2, 50, 256, "FAIL: support p=2 width 7 outside (7.000, 51.000) at N=256",
+             {"p": 2, "N": 256, "width": 7, "lower": 7.0, "upper": 51.0}),
+            (3, 40, 576, "FAIL: support p=3 width 7 outside (7.000, 100.000) at N=576",
+             {"p": 3, "N": 576, "width": 7, "lower": 7.0, "upper": 100.0}),
+        ],
+        ids=["p1", "p2", "p3"],
+    )
+    def test_support_frozen_width(self, monkeypatch, p, k_frozen, k_bad, line, counterexample):
+        """The pile stops changing at k_frozen, so its width never changes again:
+        the lower bound alone must catch it, at the first k where sqrt(k)/p - 1
+        reaches the width."""
+        frozen = []
+
+        def edit(k, step):
+            if k == k_frozen:
+                frozen.extend(step[-1])
+            if k >= k_frozen:
+                step[-1] = list(frozen)
+            return step
+
+        monkeypatch.setattr(avalanche, "steps", _steps_with(edit))
+        result = check_support(p, 3000)
+        assert not result.passed
+        width = len(frozen)
+        assert k_bad == next(k for k in range(k_frozen, 3001)
+                             if analysis._support_limits(k, p)[0] >= width)
+        assert result.line() == line
+        assert result.counterexample == counterexample
+
+    @pytest.mark.parametrize(
+        "p, k_bad, line, counterexample",
+        [
+            (1, 7, "FAIL: density p=1 L'=50 > emergence(pi(6)) + p + 1 = 2 at k=7",
+             {"p": 1, "k": 7, "l_prime": 50, "bound": 2, "prev_emergence": 0,
+              "fired": [0, 1, 2]}),
+            (2, 3, "FAIL: density p=2 L'=50 > emergence(pi(2)) + p + 1 = 4 at k=3",
+             {"p": 2, "k": 3, "l_prime": 50, "bound": 4, "prev_emergence": 1, "fired": [0]}),
+        ],
+        ids=["p1", "p2"],
+    )
+    def test_density_after_an_empty_avalanche(self, monkeypatch, p, k_bad, line, counterexample):
+        """Grain k_bad - 1 started no avalanche but changed the emergence index
+        of the pile it left, which the FAIL at k_bad must report."""
+        piles = {k: (list(b), head) for k, head, _, _, b in avalanche.steps(k_bad - 1, p)}
+        b, head = piles[k_bad - 1]
+        assert head == [] and b[0] == p
+        emergence = analysis.emergence_index(fixed_point(k_bad - 1, Params(p)))
+        last_avalanche = max((k for k in piles if piles[k][1]), default=0)
+        assert emergence != (analysis._tight_index(piles[last_avalanche][0], p)
+                             if last_avalanche else 0)
+
+        def edit(k, step):  # L' moved 50 columns right at k_bad
+            if k == k_bad:
+                step[2] += 50
+            return step
+
+        monkeypatch.setattr(avalanche, "steps", _steps_with(edit))
+        result = check_density(p, 100)
+        assert not result.passed
+        assert result.counterexample["prev_emergence"] == emergence
+        assert result.line() == line
+        assert result.counterexample == counterexample
+
+
 class TestEmptyRanges:
     @pytest.mark.parametrize(
         "check, args",
