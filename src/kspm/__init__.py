@@ -13,6 +13,7 @@ from .core import (
     DEFAULT_WORK_LIMIT,
     GRAIN_LIMIT,
     HeightProfile,
+    P_LIMIT,
     Params,
     fixed_point,
     stabilize,
@@ -51,6 +52,7 @@ __all__ = [
     "DEFAULT_WORK_LIMIT",
     "GRAIN_LIMIT",
     "HeightProfile",
+    "P_LIMIT",
     "Params",
     "ScanCsvWriter",
     "ScanSummary",

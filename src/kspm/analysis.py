@@ -18,9 +18,9 @@ zero count is forced and nothing backtracks, and the tight group, (RW)+
 then \x00 then a wave, is taken exactly when a lone zero joins two wave
 blocks.  `_forms(p)` compiles both once per p, about 6 us per unit of p
 (0.5-0.7 s at p = 10^5; a wave needs p(p+1)(p+2)/6 grains, so no pile within
-GRAIN_LIMIT holds one past p of about 18,750), and a p past chr's limit
-sys.maxunicode = 1,114,111 raises InvalidParameter.  The all-zero tail,
-index `width`, matches both forms, so the matchers return a plain `int`.
+GRAIN_LIMIT holds one past p of about 18,750); `Params` bounds p by P_LIMIT =
+2**20, so every difference fits one code point.  The all-zero tail, index
+`width`, matches both forms, so the matchers return a plain `int`.
 
 The tight form deliberately requires the isolated zero to sit strictly
 between two wave blocks (a leading lone zero does not count); a zero
@@ -38,11 +38,10 @@ from __future__ import annotations
 import functools
 import math
 import re
-import sys
 from typing import Sequence
 
 from .core import Configuration, HeightProfile, _Value, check_index
-from .errors import InvalidParameter, NoMatch, NotStable
+from .errors import NoMatch, NotStable
 
 
 class WaveReport(_Value):
@@ -61,8 +60,6 @@ class WaveReport(_Value):
 @functools.cache
 def _forms(p: int) -> tuple[re.Pattern[str], re.Pattern[str]]:
     """(loose, tight) patterns over a reversed pile, one code point per difference."""
-    if p > sys.maxunicode:
-        raise InvalidParameter(f"the wave matchers take p <= {sys.maxunicode}, got {p}")
     rw = re.escape("".join(map(chr, range(1, p + 1))))
     loose = f"(?:{rw}\\x00{{0,{p + 1}}})*"
     return re.compile(loose), re.compile(f"(?:(?:{rw})+\\x00(?={rw}))?(?:{rw})*")

@@ -63,9 +63,9 @@ def steps(
     covers the Σu(start) firings of pi(start), then each avalanche's.
     """
     Params(p)
-    check_grains(start, 0, p)
+    check_grains(start)
     check_grains(grains, 1)
-    check_grains(start + grains, p=p)
+    check_grains(start + grains)
     check_limit(work_limit)
     b, _, spent = _engine.pile_with_shots(start, p, work_limit)
     yield from _engine.avalanches(b, p, grains, work_limit, spent)

@@ -200,6 +200,7 @@ def cmd_verify(args: argparse.Namespace, limit: int) -> tuple:
     # an empty range would check nothing and report PASS
     if args.p_max < p_lo:
         raise InvalidParameter(f"--p-max must be >= {p_lo}, got {args.p_max}")
+    Params(args.p_max)  # before any suite runs: a sweep past the bound would fail only at its end
     # looked up per call, not stored in _SUITES, so a patched verify.check_* is the one run
     check = getattr(verify, f"check_{args.suite}")
     if args.suite == "spectrum":

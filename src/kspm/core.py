@@ -35,23 +35,19 @@ from .errors import (
 
 DEFAULT_WORK_LIMIT = _engine.DEFAULT_WORK_LIMIT
 GRAIN_LIMIT = _engine.GRAIN_LIMIT
+# The one bound on p, checked by Params.  p + 1 columns fit the engines'
+# 2**25-cell limit, every difference 0..p fits one code point for the wave
+# matchers, and a wave alone holds p(p+1)(p+2)/6 grains, so no pile within
+# GRAIN_LIMIT holds one past p of about 18,750.
+P_LIMIT = 1 << 20
 
 
-def check_grains(grains: int, minimum: int = 0, p: int | None = None) -> None:
-    """Reject a grain count that is not an int in minimum..GRAIN_LIMIT (InvalidParameter).
-
-    Given `p`, also reject more than p grains when p + 1 exceeds the
-    engines' cell limit: the first firing would need p + 1 columns.
-    """
+def check_grains(grains: int, minimum: int = 0) -> None:
+    """Reject a grain count that is not an int in minimum..GRAIN_LIMIT (InvalidParameter)."""
     if type(grains) is not int or grains < minimum:
         raise InvalidParameter(f"grain count must be an int >= {minimum}, got {grains!r}")
     if grains > GRAIN_LIMIT:
         raise InvalidParameter(f"grain count {grains} exceeds limit 2**40")
-    if p is not None and grains > p and p + 1 > _engine._RELAX_MAX_CELLS:
-        raise InvalidParameter(
-            f"p={p} with {grains} grains needs {p + 1} columns, "
-            f"more than the limit {_engine._RELAX_MAX_CELLS}"
-        )
 
 
 def check_limit(work_limit: int) -> None:
@@ -110,12 +106,14 @@ class _Value:
 
 
 class Params(_Value):
-    """Model parameter: p grains fall at each firing."""
+    """Model parameter: p grains fall at each firing, p an int in 1..P_LIMIT (InvalidParameter)."""
 
     __slots__ = ("p",)
     def __init__(self, p: int) -> None:
         if type(p) is not int or p < 1:
             raise InvalidParameter(f"p must be a positive integer, got {p!r}")
+        if p > P_LIMIT:
+            raise InvalidParameter(f"p {p} exceeds limit 2**20")
         object.__setattr__(self, "p", p)
 
 
@@ -201,7 +199,7 @@ def stabilize(
 ) -> tuple[Configuration, int]:
     """Run the pile to its fixed point, firing leftmost; returns (fixed point,
     total firings), which every firing order shares (strong convergence)."""
-    check_grains(c.grain_count(), p=c.params.p)
+    check_grains(c.grain_count())
     check_limit(work_limit)
     b = list(c.diffs)
     total = _engine.leftmost(b, c.params.p, work_limit)
@@ -217,7 +215,7 @@ def fixed_point(
 
 def _single_pile(grains: int, params: Params, work_limit: int) -> tuple[Configuration, list[int]]:
     """The checked entry for the single pile: (pi(grains), its shot vector)."""
-    check_grains(grains, p=params.p)
+    check_grains(grains)
     check_limit(work_limit)
     b, shots, _ = _engine.pile_with_shots(grains, params.p, work_limit)
     return Configuration._trusted(tuple(b), params), shots

@@ -41,7 +41,7 @@ def check_confluence(
     """Leftmost, rightmost, and seeded random runs must all agree."""
     name = f"confluence p={p}"
     Params(p)  # rejects p < 1, on which the engines never stop
-    check_grains(n_max, 1, p)
+    check_grains(n_max, 1)
     check_limit(work_limit)
     if type(seeds) is not int or seeds < 0 or type(base_seed) is not int:
         raise InvalidParameter(
@@ -68,7 +68,7 @@ def check_plateau(p: int, n_max: int, work_limit: int = DEFAULT_WORK_LIMIT) -> C
     """No plateau longer than p+1 anywhere on any leftmost trajectory."""
     name = f"plateau p={p}"
     Params(p)  # rejects p < 1, on which the engine never stops
-    check_grains(n_max, 1, p)
+    check_grains(n_max, 1)
     check_limit(work_limit)
     bound = p + 1
     worst = 1
@@ -206,8 +206,8 @@ def check_density(p: int, n_max: int, work_limit: int = DEFAULT_WORK_LIMIT) -> C
     Also records the running maximum L(p, N) at power-of-two checkpoints.
 
     Grain k starts an avalanche only when pi(k-1)[0] = p, so the index is
-    taken only of those piles (and of pi(1)): at any other k the avalanche
-    is empty, with L' = 0 below every bound, and the index is not read.
+    taken only of those piles: at any other k the avalanche is empty, with
+    L' = 0 below every bound, and the index is not read.
     """
     name = f"density p={p}"
     l_global = 0
@@ -226,7 +226,7 @@ def check_density(p: int, n_max: int, work_limit: int = DEFAULT_WORK_LIMIT) -> C
             l_global = lp
         if k & (k - 1) == 0:
             checkpoints[k] = l_global
-        if b[0] == p or k == 1:  # k = 1: a p past the matchers' range raises at once
+        if b[0] == p:
             prev_emergence = analysis._tight_index(b, p)  # stable: the generator's proof
     checkpoints[n_max] = l_global
     return CheckResult(
@@ -241,7 +241,7 @@ def check_recurrence(p: int, n_max: int, work_limit: int = DEFAULT_WORK_LIMIT) -
     """Grain-by-grain pile equals the from-scratch fixed point for every k."""
     name = f"recurrence p={p}"
     params = Params(p)
-    check_grains(n_max, 1, p)
+    check_grains(n_max, 1)
     check_limit(work_limit)
     b = [0]  # never empty again: worklist trims only zeros past the grains
     for k in range(1, n_max + 1):

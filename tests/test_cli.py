@@ -10,7 +10,7 @@ import tracemalloc
 import pytest
 
 import kspm
-from kspm.cli import _parser, main
+from kspm.cli import _SUITES, _parser, main
 
 
 def run(capsys, *argv):
@@ -65,19 +65,33 @@ class TestFixpoint:
     @pytest.mark.parametrize(
         "argv",
         [
-            ("fixpoint", "--p", "2000", "--n", "2001"),
-            ("avalanche", "--p", "2000", "--upto", "2001"),
-            ("verify", "plateau", "--p", "2000", "--n-max", "2001"),
+            ("fixpoint", "--p", "33554432", "--n", "33554433"),
+            ("avalanche", "--p", "33554432", "--upto", "33554433"),
+            ("verify", "plateau", "--p", "33554432", "--n-max", "33554433"),
         ],
     )
-    def test_p_wider_than_cell_limit_exits_2(self, capsys, monkeypatch, argv):
-        from kspm import _engine
+    def test_p_wider_than_cell_limit_exits_2(self, capsys, argv):
+        # p = 2**25: its p + 1 columns would pass the engines' cell limit
+        assert run(capsys, *argv) == (2, "", "kspm: p 33554432 exceeds limit 2**20\n")
 
-        monkeypatch.setattr(_engine, "_RELAX_MAX_CELLS", 1000)
-        code, out, err = run(capsys, *argv)
-        assert code == 2
-        assert out == ""
-        assert "columns" in err
+
+# every command and suite that takes --p, with the rest of its flags
+P_COMMANDS = {
+    "fixpoint": ("fixpoint", "--n", "5"),
+    "figure-data": ("figure-data", "--n", "5", "--which", "diffs"),
+    "avalanche-upto": ("avalanche", "--upto", "5"),
+    "avalanche-k": ("avalanche", "--k", "5"),
+    **{suite: ("verify", suite, size_flag, "5")
+       for suite, (_, _, size_flag, _) in _SUITES.items() if suite != "spectrum"},
+}
+
+
+@pytest.mark.parametrize("p", [2**20 + 1, 2**25, 10**20])
+@pytest.mark.parametrize("command", P_COMMANDS)
+def test_p_past_the_bound_exits_2(capsys, command, p):
+    code, out, err = run(capsys, *P_COMMANDS[command], "--p", str(p))
+    assert (code, out) == (2, "")
+    assert err == f"kspm: p {p} exceeds limit 2**20\n"
 
 
 class TestAvalanche:
@@ -335,6 +349,19 @@ class TestVerify:
             main(["verify", *argv])
         assert exc.value.code == 2
         assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("suite", _SUITES)
+    def test_p_max_past_the_bound_exits_2_before_any_suite(self, capsys, monkeypatch, suite):
+        import kspm.verify as verify_mod
+
+        def never(*args, **kwargs):
+            raise AssertionError("a suite ran")
+
+        monkeypatch.setattr(verify_mod, f"check_{suite}", never)
+        size = () if _SUITES[suite][2] is None else (_SUITES[suite][2], "5")
+        code, out, err = run(capsys, "verify", suite, "--p-max", "2000000", *size)
+        assert (code, out) == (2, "")
+        assert err == "kspm: p 2000000 exceeds limit 2**20\n"
 
     def test_failure_prints_counterexample_and_exits_1(self, capsys, monkeypatch):
         import kspm.verify as verify_mod

@@ -1,5 +1,7 @@
 """Firing rule, stabilization, conversions, and their invariants."""
 
+import tracemalloc
+
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -7,6 +9,7 @@ from kspm import (
     DEFAULT_WORK_LIMIT,
     Configuration,
     HeightProfile,
+    P_LIMIT,
     Params,
     fixed_point,
     incremental_scan,
@@ -54,6 +57,13 @@ class TestParams:
 
     def test_p_one_is_fine(self):
         assert Params(1).p == 1
+
+    def test_p_bounded_by_p_limit(self):
+        assert P_LIMIT == 2**20
+        assert Params(P_LIMIT).p == P_LIMIT
+        for p in (P_LIMIT + 1, 2**25, 10**20):
+            with pytest.raises(InvalidParameter, match=rf"^p {p} exceeds limit 2\*\*20$"):
+                Params(p)
 
 
 class TestFire:
@@ -251,23 +261,20 @@ class TestFixedPoint:
         with pytest.raises(InvalidParameter):
             fixed_point((1 << 40) + 1, Params(2))
 
-    def test_p_wider_than_cell_limit_rejected(self, monkeypatch):
-        from kspm import _engine, incremental_scan, pile
-
-        # stands in for a real huge p: p + 1 columns exceed the cell limit
-        monkeypatch.setattr(_engine, "_RELAX_MAX_CELLS", 1000)
-        p = 2000
-        params = Params(p)
+    def test_p_wider_than_cell_limit_rejected(self):
+        # p + 1 columns past the engines' 2**25-cell limit: Params rejects p
+        # itself, so no entry sees it, whatever the grain count
+        p = _engine._RELAX_MAX_CELLS
         for call in (
-            lambda: fixed_point(p + 1, params),
-            lambda: pile(p + 1, params),
+            lambda: fixed_point(p + 1, Params(p)),
+            lambda: pile(p + 1, Params(p)),
             lambda: stabilize(cfg([p + 1], p)),
-            lambda: incremental_scan(p + 1, params),
+            lambda: incremental_scan(p + 1, Params(p)),
+            lambda: next(steps(p + 1, p)),
+            lambda: fixed_point(1, Params(p)),
         ):
-            with pytest.raises(InvalidParameter):
+            with pytest.raises(InvalidParameter, match=f"^p {p} exceeds limit"):
                 call()
-        # no column fires, so nothing grows
-        assert fixed_point(p, params).diffs == (p,)
 
     def test_huge_p_stays_cheap(self):
         # width bound ~(p+1)*sqrt(N) is enormous here, but the realized
@@ -276,6 +283,33 @@ class TestFixedPoint:
         assert fixed_point(5000, Params(p)).diffs == (5000,)
         c = fixed_point(2 * p, Params(p))
         assert c.diffs[0] == p - 1 and c.diffs[p] == 1
+        assert c.grain_count() == 2 * p
+
+    def test_largest_p_runs_in_memory_linear_in_p(self):
+        # 64 bytes per unit of p: about 2 MB for a scan's two p-byte
+        # masks, about 34 MB for the 2p-grain pile, traced
+        p = P_LIMIT
+        bound = 64 * p
+        calls = {
+            "steps": lambda: [(k, list(head), lp, last, list(b))
+                              for k, head, lp, last, b in steps(3, p)],
+            "support": lambda: verify.check_support(p, 3),
+            "density": lambda: verify.check_density(p, 3),
+            "fixed_point": lambda: fixed_point(2 * p, Params(p)),
+        }
+        got = {}
+        for name, call in calls.items():
+            tracemalloc.start()
+            try:
+                got[name] = call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < bound, (name, peak)
+        assert got["steps"] == [(k, [], 0, -1, [k]) for k in (1, 2, 3)]
+        assert got["support"].passed and got["density"].passed
+        c = got["fixed_point"]
+        assert c.diffs[0] == p - 1 and c.diffs[p] == 1 and c.width() == p + 1
         assert c.grain_count() == 2 * p
 
 
@@ -425,14 +459,10 @@ def test_single_pile_entries_reject_grains_alike(grains, message):
     assert set(errors.values()) == {(InvalidParameter, message)}, errors
 
 
-def test_single_pile_entries_reject_p_wider_than_cell_limit_alike(monkeypatch):
-    from kspm import _engine
-
-    monkeypatch.setattr(_engine, "_RELAX_MAX_CELLS", 1000)
-    p = 2000
-    message = f"p={p} with {p + 1} grains needs {p + 1} columns, more than the limit 1000"
+def test_single_pile_entries_reject_p_wider_than_cell_limit_alike():
+    p = _engine._RELAX_MAX_CELLS
     errors = _single_pile_errors(p + 1, p)
-    assert set(errors.values()) == {(InvalidParameter, message)}, errors
+    assert set(errors.values()) == {(InvalidParameter, f"p {p} exceeds limit 2**20")}, errors
 
 
 @pytest.mark.parametrize("limit", [0, None, True])
